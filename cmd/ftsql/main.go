@@ -235,7 +235,7 @@ func main() {
 	}
 
 	var (
-		res *engine.PartitionedResult
+		res *engine.BatchResult
 		rep *engine.Report
 	)
 	switch *rt {

@@ -96,7 +96,7 @@ func main() {
 
 	inj := engine.NewScriptedFailures().Add("enrich-udf", 1, 0)
 	var (
-		result *engine.PartitionedResult
+		result *engine.BatchResult
 		rep    *engine.Report
 	)
 	switch *rt {

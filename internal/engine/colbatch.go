@@ -43,9 +43,8 @@ func (v *Vector) Value(i int) Value {
 	}
 }
 
-// appendValue strictly appends a boxed value of the vector's type; int64,
-// float64 and string only — anything else (including plain int) keeps the
-// data on the row fallback path so values round-trip bit-identically.
+// appendValue strictly appends a boxed value of the vector's type: int64,
+// float64 or string only, so values round-trip bit-identically.
 func (v *Vector) appendValue(val Value) bool {
 	switch v.Type {
 	case TypeInt:
@@ -68,6 +67,31 @@ func (v *Vector) appendValue(val Value) bool {
 		v.Strings = append(v.Strings, x)
 	}
 	return true
+}
+
+// appendFrom appends element p of src, a vector of the same type.
+func (v *Vector) appendFrom(src *Vector, p int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints = append(v.Ints, src.Ints[p])
+	case TypeFloat:
+		v.Floats = append(v.Floats, src.Floats[p])
+	default:
+		v.Strings = append(v.Strings, src.Strings[p])
+	}
+}
+
+// setFrom overwrites element i with element p of src, a vector of the same
+// type.
+func (v *Vector) setFrom(i int, src *Vector, p int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints[i] = src.Ints[p]
+	case TypeFloat:
+		v.Floats[i] = src.Floats[p]
+	default:
+		v.Strings[i] = src.Strings[p]
+	}
 }
 
 // gather builds a dense copy of the vector at the given positions.
@@ -110,18 +134,14 @@ func (v *Vector) slice(lo, hi int) Vector {
 // Batch is the native unit of execution: a set of typed column vectors plus
 // an optional selection vector. Sel holds the physical row positions that are
 // logically present (nil means all rows), so filters narrow a batch without
-// copying column data.
-//
-// A batch can also wrap plain rows (raw != nil) as a fallback when data is
-// not strictly typed — e.g. a column whose values mix int and int64. Raw
-// batches flow through the same kernels on an interpreted path, so results
-// are identical either way.
+// copying column data. It is the engine's only in-memory representation of
+// rows; boxed rows appear only at package edges (result sinks and the
+// Store interface).
 type Batch struct {
 	Schema Schema
 	Cols   []Vector
 	Sel    []int32
-	nrows  int   // physical row count of Cols
-	raw    []Row // fallback representation; when set, Cols is unused
+	nrows  int // physical row count of Cols
 
 	// Arena ownership flags: which pieces of this batch Release returns to
 	// a Local. They are tracked separately because batches routinely mix
@@ -154,9 +174,19 @@ func NewBatchFromCols(schema Schema, cols []Vector) (*Batch, error) {
 
 // RowsToBatch strictly converts rows to a columnar batch: every value must be
 // an int64, float64 or string matching the declared column type. It fails on
-// anything else (nil, plain int, width mismatch), in which case callers fall
-// back to a raw batch so semantics never change.
+// anything else (nil, plain int, width mismatch).
 func RowsToBatch(schema Schema, rows []Row) (*Batch, error) {
+	cols, err := rowsToColumns(schema, rows, false)
+	if err != nil {
+		return nil, err
+	}
+	return &Batch{Schema: schema, Cols: cols, nrows: len(rows)}, nil
+}
+
+// rowsToColumns converts rows to typed column vectors, optionally coercing
+// plain int to int64; any other value that does not match its column type
+// is an error.
+func rowsToColumns(schema Schema, rows []Row, coerceInt bool) ([]Vector, error) {
 	cols := make([]Vector, len(schema))
 	for i, c := range schema {
 		cols[i].Type = c.Type
@@ -173,47 +203,23 @@ func RowsToBatch(schema Schema, rows []Row) (*Batch, error) {
 		if len(r) != len(schema) {
 			return nil, fmt.Errorf("engine: row %d has %d values, schema %d", ri, len(r), len(schema))
 		}
-		for ci := range schema {
-			if !cols[ci].appendValue(r[ci]) {
-				return nil, fmt.Errorf("engine: row %d column %d: %T does not match %s", ri, ci, r[ci], schema[ci].Type)
+		for ci, v := range r {
+			if x, ok := v.(int); ok && coerceInt {
+				v = int64(x)
+			}
+			if !cols[ci].appendValue(v) {
+				return nil, fmt.Errorf("engine: row %d column %d: %T does not match %s", ri, ci, v, schema[ci].Type)
 			}
 		}
 	}
-	return &Batch{Schema: schema, Cols: cols, nrows: len(rows)}, nil
+	return cols, nil
 }
-
-// RawBatch wraps rows without conversion (the fallback representation).
-func RawBatch(schema Schema, rows []Row) *Batch {
-	return &Batch{Schema: schema, raw: rows, nrows: len(rows)}
-}
-
-// rowsOrBatch converts strictly when possible and falls back to raw.
-func rowsOrBatch(schema Schema, rows []Row) *Batch {
-	if b, err := RowsToBatch(schema, rows); err == nil {
-		return b
-	}
-	return RawBatch(schema, rows)
-}
-
-// BatchFromRows converts rows to their batch form, preferring the strict
-// columnar representation and falling back to a raw batch. It is the bridge
-// for row-oriented producers (checkpoint restores, legacy Compute results)
-// entering a batch-native consumer.
-func BatchFromRows(schema Schema, rows []Row) *Batch {
-	return rowsOrBatch(schema, rows)
-}
-
-// IsRaw reports whether the batch is on the row fallback path.
-func (b *Batch) IsRaw() bool { return b.raw != nil }
 
 // Len returns the logical (selected) row count (0 for a nil batch, which is
 // the canonical empty-partition representation).
 func (b *Batch) Len() int {
 	if b == nil {
 		return 0
-	}
-	if b.raw != nil {
-		return len(b.raw)
 	}
 	if b.Sel != nil {
 		return len(b.Sel)
@@ -222,14 +228,11 @@ func (b *Batch) Len() int {
 }
 
 // AppendRows materializes the logical rows as boxed engine rows, appending to
-// dst. This is the row bridge at package edges (stage sinks, staged Compute).
-// A nil batch (the empty-partition convention) appends nothing.
+// dst. This is the row bridge at package edges (result sinks, the Store
+// interface). A nil batch (the empty-partition convention) appends nothing.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	if b == nil {
 		return dst
-	}
-	if b.raw != nil {
-		return append(dst, b.raw...)
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
@@ -246,8 +249,7 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 	return dst
 }
 
-// ToRows materializes the logical rows (nil when empty, matching the
-// row-oriented operators' convention).
+// ToRows materializes the logical rows (nil when empty).
 func (b *Batch) ToRows() []Row { return b.AppendRows(nil) }
 
 // Slice returns the logical window [lo,hi) sharing column storage.
@@ -261,9 +263,6 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 // the source batch. Releasing a slice therefore never frees storage the
 // source or sibling slices still read.
 func (b *Batch) SliceLocal(lo, hi int, l *Local) *Batch {
-	if b.raw != nil {
-		return RawBatch(b.Schema, b.raw[lo:hi])
-	}
 	if b.Sel != nil {
 		out := l.newBatch()
 		out.Schema = b.Schema

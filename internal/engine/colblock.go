@@ -1,22 +1,19 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
-// Column-block format: the serialized form of a materialized partition.
-// Values are stored column-major as length-prefixed typed vectors, so
-// checkpoints of typed intermediates are far denser than the row-by-row gob
-// encoding (no per-value type tags, varint integers, raw float bits).
-// Version 2 adds one encoding byte per column and two lightweight
-// compressions chosen per column whenever they are strictly smaller than the
-// plain form — varint delta for integers (sorted keys and near-sequential
-// ids shrink to a byte or two per value) and a first-appearance dictionary
-// for low-cardinality strings:
+// Column-block format (FTCB version 2): the serialized form of a
+// materialized partition. Values are stored column-major as typed vectors
+// (no per-value type tags, varint integers, raw float bits), with one
+// encoding byte per column and two lightweight compressions chosen per
+// column whenever they are strictly smaller than the plain form — varint
+// delta for integers (sorted keys and near-sequential ids shrink to a byte
+// or two per value) and a first-appearance dictionary for low-cardinality
+// strings:
 //
 //	"FTCB" | version(1) | ncols uvarint | nrows uvarint |
 //	  per column: type(1) | enc(1) |
@@ -29,64 +26,17 @@ import (
 //	                              (uvarint length | bytes), in first-appearance
 //	                              order | nrows uvarint dictionary indexes
 //
-// Version-1 blocks (no encoding byte, always plain) remain readable.
-// Partitions whose rows are not strictly typed (mixed concrete types in a
-// column, ragged widths, non-scalar values) fall back to gob behind the
-// "FTGB" magic; files with neither magic are legacy whole-file gob streams.
+// An empty partition has no columns. Checkpoints are intermediates of one
+// query, never read across versions, so this is the only format: rows that
+// are not strictly typed cannot be encoded, and nothing else decodes.
 const (
-	colBlockMagic    = "FTCB"
-	gobBlockMagic    = "FTGB"
-	colBlockVersion1 = 1
-	colBlockVersion  = 2
+	colBlockMagic   = "FTCB"
+	colBlockVersion = 2
 
 	colEncPlain = 0
 	colEncDelta = 1 // TypeInt only
 	colEncDict  = 1 // TypeString only
 )
-
-// inferColumnTypes derives per-column concrete types from the rows; ok is
-// false when the rows are not strictly typed (the gob fallback handles them).
-func inferColumnTypes(rows []Row) ([]ColType, bool) {
-	if len(rows) == 0 {
-		return nil, true
-	}
-	width := len(rows[0])
-	types := make([]ColType, width)
-	for c := 0; c < width; c++ {
-		switch rows[0][c].(type) {
-		case int64:
-			types[c] = TypeInt
-		case float64:
-			types[c] = TypeFloat
-		case string:
-			types[c] = TypeString
-		default:
-			return nil, false
-		}
-	}
-	for _, r := range rows {
-		if len(r) != width {
-			return nil, false
-		}
-		for c, v := range r {
-			switch types[c] {
-			case TypeInt:
-				if _, ok := v.(int64); !ok {
-					return nil, false
-				}
-			case TypeFloat:
-				if _, ok := v.(float64); !ok {
-					return nil, false
-				}
-			default:
-				if _, ok := v.(string); !ok {
-					return nil, false
-				}
-			}
-		}
-	}
-	return types, true
-}
 
 func uvarintLen(x uint64) int64 {
 	n := int64(1)
@@ -101,32 +51,30 @@ func varintLen(x int64) int64 {
 	return uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
 }
 
-// intColSizes returns the exact payload sizes of column c under the plain
-// and delta encodings.
-func intColSizes(rows []Row, c int) (plain, delta int64) {
+// intColSizes returns the exact payload sizes of an int column under the
+// plain and delta encodings.
+func intColSizes(v []int64) (plain, delta int64) {
 	prev := int64(0)
-	for i, r := range rows {
-		v := r[c].(int64)
-		plain += varintLen(v)
+	for i, x := range v {
+		plain += varintLen(x)
 		if i == 0 {
-			delta += varintLen(v)
+			delta += varintLen(x)
 		} else {
 			// Two's-complement wrapping subtraction: the decoder's wrapping
 			// addition round-trips every pair, including extreme values.
-			delta += varintLen(v - prev)
+			delta += varintLen(x - prev)
 		}
-		prev = v
+		prev = x
 	}
 	return plain, delta
 }
 
-// stringColSizes returns the exact payload sizes of column c under the plain
-// and dictionary encodings.
-func stringColSizes(rows []Row, c int) (plain, dict int64) {
+// stringColSizes returns the exact payload sizes of a string column under
+// the plain and dictionary encodings.
+func stringColSizes(v []string) (plain, dict int64) {
 	seen := make(map[string]uint64)
 	var entries, idxBytes int64
-	for _, r := range rows {
-		s := r[c].(string)
+	for _, s := range v {
 		plain += uvarintLen(uint64(len(s))) + int64(len(s))
 		idx, ok := seen[s]
 		if !ok {
@@ -140,117 +88,90 @@ func stringColSizes(rows []Row, c int) (plain, dict int64) {
 	return plain, dict
 }
 
-// ColumnBlockSize returns the exact encoded size of rows in the column-block
-// format — including the per-column encoding choices EncodeColumnBlock will
-// make — without building the encoding; ok is false when the rows would
-// take the gob fallback. The runtime uses it for its checkpoint-bytes
-// metric, so it must stay byte-exact against the encoder.
-func ColumnBlockSize(rows []Row) (int64, bool) {
-	types, ok := inferColumnTypes(rows)
-	if !ok {
-		return 0, false
+// blockCols returns the dense columns a block of b stores: none for an
+// empty batch, b's own vectors when it has no selection, gathered copies
+// otherwise.
+func blockCols(b *Batch) []Vector {
+	if b.Len() == 0 {
+		return nil
 	}
-	n := int64(len(colBlockMagic)) + 1
-	n += uvarintLen(uint64(len(types))) + uvarintLen(uint64(len(rows)))
-	for c, t := range types {
-		n += 2 // type byte + encoding byte
-		switch t {
+	if b.Sel == nil {
+		return b.Cols
+	}
+	out := make([]Vector, len(b.Cols))
+	for i := range b.Cols {
+		out[i] = b.Cols[i].gather(b.Sel)
+	}
+	return out
+}
+
+// EncodedSize returns the exact number of bytes EncodeBatch produces for b —
+// including its per-column encoding choices — without building the
+// encoding. The checkpoint-bytes metrics use it, so it must stay byte-exact
+// against the encoder.
+func EncodedSize(b *Batch) int64 {
+	cols := blockCols(b)
+	n := b.Len()
+	size := int64(len(colBlockMagic)) + 1 + uvarintLen(uint64(len(cols))) + uvarintLen(uint64(n))
+	for i := range cols {
+		size += 2 // type byte + encoding byte
+		switch v := &cols[i]; v.Type {
 		case TypeInt:
-			plain, delta := intColSizes(rows, c)
-			if delta < plain {
-				n += delta
-			} else {
-				n += plain
-			}
+			plain, delta := intColSizes(v.Ints)
+			size += min(plain, delta)
 		case TypeFloat:
-			n += int64(8 * len(rows))
+			size += int64(8 * n)
 		default:
-			plain, dict := stringColSizes(rows, c)
-			if dict < plain {
-				n += dict
-			} else {
-				n += plain
-			}
+			plain, dict := stringColSizes(v.Strings)
+			size += min(plain, dict)
 		}
 	}
-	return n, true
+	return size
 }
 
-// EncodedSize returns the exact number of bytes writeBlockFile produces for
-// rows: the column-block size when the rows are strictly typed, the length of
-// the magic-prefixed gob stream otherwise. The runtime's checkpoint-bytes
-// metric uses it so both encodings are counted exactly.
-func EncodedSize(rows []Row) int64 {
-	if n, ok := ColumnBlockSize(rows); ok {
-		return n
+// EncodeBatch serializes the logical rows of b as a column block.
+func EncodeBatch(b *Batch) ([]byte, error) {
+	cols := blockCols(b)
+	n := b.Len()
+	if n > 0 && len(cols) == 0 {
+		return nil, fmt.Errorf("engine: column block: %d rows without columns", n)
 	}
-	var cw countingWriter
-	if err := writeBlockFile(&cw, rows); err != nil {
-		return 0
-	}
-	return cw.n
-}
-
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// EncodeColumnBlock serializes rows in the column-block format; ok is false
-// when the rows are not strictly typed and the caller must fall back to gob.
-func EncodeColumnBlock(rows []Row) ([]byte, bool) {
-	types, ok := inferColumnTypes(rows)
-	if !ok {
-		return nil, false
-	}
-	size, _ := ColumnBlockSize(rows)
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, EncodedSize(b))
 	buf = append(buf, colBlockMagic...)
 	buf = append(buf, colBlockVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(types)))
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	var scratch [8]byte
-	for c, t := range types {
-		buf = append(buf, byte(t))
-		switch t {
+	buf = binary.AppendUvarint(buf, uint64(len(cols)))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := range cols {
+		v := &cols[i]
+		buf = append(buf, byte(v.Type))
+		switch v.Type {
 		case TypeInt:
-			// Same tie rule as ColumnBlockSize: delta only when strictly
+			// Same tie rule as EncodedSize: delta only when strictly
 			// smaller, so the size prediction stays byte-exact.
-			plain, delta := intColSizes(rows, c)
-			if delta < plain {
+			if plain, delta := intColSizes(v.Ints); delta < plain {
 				buf = append(buf, colEncDelta)
 				prev := int64(0)
-				for i, r := range rows {
-					v := r[c].(int64)
-					if i == 0 {
-						buf = binary.AppendVarint(buf, v)
-					} else {
-						buf = binary.AppendVarint(buf, v-prev)
-					}
-					prev = v
+				for _, x := range v.Ints {
+					buf = binary.AppendVarint(buf, x-prev)
+					prev = x
 				}
 			} else {
 				buf = append(buf, colEncPlain)
-				for _, r := range rows {
-					buf = binary.AppendVarint(buf, r[c].(int64))
+				for _, x := range v.Ints {
+					buf = binary.AppendVarint(buf, x)
 				}
 			}
 		case TypeFloat:
 			buf = append(buf, colEncPlain)
-			for _, r := range rows {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(r[c].(float64)))
-				buf = append(buf, scratch[:]...)
+			for _, x := range v.Floats {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 			}
 		default:
-			plain, dict := stringColSizes(rows, c)
-			if dict < plain {
+			if plain, dict := stringColSizes(v.Strings); dict < plain {
 				buf = append(buf, colEncDict)
 				seen := make(map[string]uint64)
 				var entries []string
-				for _, r := range rows {
-					s := r[c].(string)
+				for _, s := range v.Strings {
 					if _, ok := seen[s]; !ok {
 						seen[s] = uint64(len(entries))
 						entries = append(entries, s)
@@ -261,208 +182,208 @@ func EncodeColumnBlock(rows []Row) ([]byte, bool) {
 					buf = binary.AppendUvarint(buf, uint64(len(s)))
 					buf = append(buf, s...)
 				}
-				for _, r := range rows {
-					buf = binary.AppendUvarint(buf, seen[r[c].(string)])
+				for _, s := range v.Strings {
+					buf = binary.AppendUvarint(buf, seen[s])
 				}
 			} else {
 				buf = append(buf, colEncPlain)
-				for _, r := range rows {
-					s := r[c].(string)
+				for _, s := range v.Strings {
 					buf = binary.AppendUvarint(buf, uint64(len(s)))
 					buf = append(buf, s...)
 				}
 			}
 		}
 	}
-	return buf, true
+	return buf, nil
 }
 
-// DecodeColumnBlock parses a column block (after its 4-byte magic has been
-// consumed) and materializes the rows. Returns nil rows for an empty block.
-func DecodeColumnBlock(r io.Reader) ([]Row, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = &byteReader{r: r}
-	}
-	version, err := br.ReadByte()
+// EncodeBlockBytes serializes one partition of boxed rows (the Store
+// interface's form) as a column block; rows that are not strictly typed are
+// an error.
+func EncodeBlockBytes(rows []Row) ([]byte, error) {
+	b, err := rowsBatch(rows)
 	if err != nil {
-		return nil, fmt.Errorf("engine: column block: %w", err)
+		return nil, err
 	}
-	if version != colBlockVersion1 && version != colBlockVersion {
-		return nil, fmt.Errorf("engine: column block version %d unsupported", version)
-	}
-	ncols, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("engine: column block: %w", err)
-	}
-	nrows, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("engine: column block: %w", err)
-	}
-	if ncols > 1<<20 || nrows > 1<<40 {
-		return nil, fmt.Errorf("engine: column block header implausible (%d cols, %d rows)", ncols, nrows)
-	}
-	rows := make([]Row, nrows)
-	for i := range rows {
-		rows[i] = make(Row, ncols)
-	}
-	var scratch [8]byte
-	for c := uint64(0); c < ncols; c++ {
-		tb, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("engine: column block: %w", err)
-		}
-		enc := byte(colEncPlain) // version-1 columns are always plain
-		if version == colBlockVersion {
-			enc, err = br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("engine: column block: %w", err)
-			}
-		}
-		switch ColType(tb) {
-		case TypeInt:
-			switch enc {
-			case colEncPlain:
-				for i := uint64(0); i < nrows; i++ {
-					v, err := binary.ReadVarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					rows[i][c] = v
-				}
-			case colEncDelta:
-				prev := int64(0)
-				for i := uint64(0); i < nrows; i++ {
-					d, err := binary.ReadVarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					if i == 0 {
-						prev = d
-					} else {
-						prev += d // wrapping addition mirrors the encoder
-					}
-					rows[i][c] = prev
-				}
+	return EncodeBatch(b)
+}
+
+// rowsBatch converts boxed rows to a batch whose column types come from the
+// first row; every value must be an int64, float64 or string of its
+// column's type, and every row must have the same width.
+func rowsBatch(rows []Row) (*Batch, error) {
+	var schema Schema
+	if len(rows) > 0 {
+		schema = make(Schema, len(rows[0]))
+		for c, v := range rows[0] {
+			switch v.(type) {
+			case int64:
+				schema[c].Type = TypeInt
+			case float64:
+				schema[c].Type = TypeFloat
+			case string:
+				schema[c].Type = TypeString
 			default:
-				return nil, fmt.Errorf("engine: column block int encoding %d unsupported", enc)
+				return nil, fmt.Errorf("engine: column block: column %d: %T has no column type", c, v)
 			}
-		case TypeFloat:
-			if enc != colEncPlain {
-				return nil, fmt.Errorf("engine: column block float encoding %d unsupported", enc)
-			}
-			for i := uint64(0); i < nrows; i++ {
-				if err := readFull(br, scratch[:]); err != nil {
-					return nil, fmt.Errorf("engine: column block: %w", err)
-				}
-				rows[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
-			}
-		case TypeString:
-			switch enc {
-			case colEncPlain:
-				for i := uint64(0); i < nrows; i++ {
-					ln, err := binary.ReadUvarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					if ln > 1<<30 {
-						return nil, fmt.Errorf("engine: column block string length %d implausible", ln)
-					}
-					b := make([]byte, ln)
-					if err := readFull(br, b); err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					rows[i][c] = string(b)
-				}
-			case colEncDict:
-				ndict, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("engine: column block: %w", err)
-				}
-				if ndict > 1<<30 {
-					return nil, fmt.Errorf("engine: column block dictionary size %d implausible", ndict)
-				}
-				dict := make([]string, ndict)
-				for d := range dict {
-					ln, err := binary.ReadUvarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					if ln > 1<<30 {
-						return nil, fmt.Errorf("engine: column block string length %d implausible", ln)
-					}
-					b := make([]byte, ln)
-					if err := readFull(br, b); err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					dict[d] = string(b)
-				}
-				for i := uint64(0); i < nrows; i++ {
-					idx, err := binary.ReadUvarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					if idx >= ndict {
-						return nil, fmt.Errorf("engine: column block dictionary index %d out of range", idx)
-					}
-					rows[i][c] = dict[idx]
-				}
-			default:
-				return nil, fmt.Errorf("engine: column block string encoding %d unsupported", enc)
-			}
-		default:
-			return nil, fmt.Errorf("engine: column block has unknown column type %d", tb)
 		}
+	}
+	b, err := RowsToBatch(schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: column block: %w", err)
+	}
+	return b, nil
+}
+
+// DecodeBlockFile decodes a stored partition to boxed rows (nil for an
+// empty partition).
+func DecodeBlockFile(data []byte) ([]Row, error) {
+	b, err := decodeBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	return b.ToRows(), nil
+}
+
+// decodeBatch parses a column block into a dense batch (nil for an empty
+// partition; columns are unnamed). Every count is checked against the bytes
+// that remain before anything is allocated — a column costs at least two
+// header bytes plus one byte per value — so hostile input cannot make the
+// decoder allocate more than a small multiple of its own length.
+func decodeBatch(data []byte) (*Batch, error) {
+	if len(data) < len(colBlockMagic)+1 || string(data[:len(colBlockMagic)]) != colBlockMagic {
+		return nil, fmt.Errorf("engine: not a column block")
+	}
+	if v := data[len(colBlockMagic)]; v != colBlockVersion {
+		return nil, fmt.Errorf("engine: column block version %d unsupported", v)
+	}
+	r := &blockReader{data: data, pos: len(colBlockMagic) + 1}
+	ncols, nrows := r.uvarint(), r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if left := r.left(); (ncols == 0 && nrows > 0) || nrows > left || ncols > left/(nrows+2) {
+		return nil, fmt.Errorf("engine: column block header (%d cols, %d rows) exceeds its %d remaining bytes", ncols, nrows, left)
 	}
 	if nrows == 0 {
 		return nil, nil
 	}
-	return rows, nil
-}
-
-// byteReader adapts an io.Reader that lacks ReadByte.
-type byteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func readFull(br io.ByteReader, p []byte) error {
-	if r, ok := br.(io.Reader); ok {
-		_, err := io.ReadFull(r, p)
-		return err
-	}
-	for i := range p {
-		c, err := br.ReadByte()
-		if err != nil {
-			return err
+	schema := make(Schema, ncols)
+	cols := make([]Vector, ncols)
+	for c := range cols {
+		t, enc := ColType(r.byte()), r.byte()
+		if r.err != nil {
+			return nil, r.err
 		}
-		p[i] = c
+		if nrows > r.left() {
+			return nil, fmt.Errorf("engine: column block column %d: %d rows exceed %d remaining bytes", c, nrows, r.left())
+		}
+		schema[c].Type = t
+		v := &cols[c]
+		v.Type = t
+		switch {
+		case t == TypeInt && (enc == colEncPlain || enc == colEncDelta):
+			v.Ints = make([]int64, nrows)
+			prev := int64(0)
+			for i := range v.Ints {
+				x := r.varint()
+				if enc == colEncDelta {
+					x += prev // wrapping addition mirrors the encoder
+				}
+				v.Ints[i], prev = x, x
+			}
+		case t == TypeFloat && enc == colEncPlain:
+			if 8*nrows > r.left() {
+				return nil, fmt.Errorf("engine: column block column %d: %d floats exceed %d remaining bytes", c, nrows, r.left())
+			}
+			v.Floats = make([]float64, nrows)
+			for i := range v.Floats {
+				v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.bytes(8)))
+			}
+		case t == TypeString && enc == colEncPlain:
+			v.Strings = make([]string, nrows)
+			for i := range v.Strings {
+				v.Strings[i] = string(r.bytes(r.uvarint()))
+			}
+		case t == TypeString && enc == colEncDict:
+			ndict := r.uvarint()
+			if ndict > r.left() {
+				return nil, fmt.Errorf("engine: column block column %d: dictionary of %d exceeds %d remaining bytes", c, ndict, r.left())
+			}
+			dict := make([]string, ndict)
+			for d := range dict {
+				dict[d] = string(r.bytes(r.uvarint()))
+			}
+			v.Strings = make([]string, nrows)
+			for i := range v.Strings {
+				if idx := r.uvarint(); idx < ndict {
+					v.Strings[i] = dict[idx]
+				} else if r.err == nil {
+					return nil, fmt.Errorf("engine: column block dictionary index %d out of range", idx)
+				}
+			}
+		default:
+			return nil, fmt.Errorf("engine: column block column %d: type %d with encoding %d unsupported", c, t, enc)
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
 	}
-	return nil
+	return &Batch{Schema: schema, Cols: cols, nrows: int(nrows)}, nil
 }
 
-// DecodeBlockFile decodes a stored partition from data, dispatching on the
-// leading magic: column block, gob fallback, or legacy whole-file gob.
-func DecodeBlockFile(data []byte) ([]Row, error) {
-	if len(data) >= 4 && string(data[:4]) == colBlockMagic {
-		return DecodeColumnBlock(bytes.NewReader(data[4:]))
+// blockReader reads a column block's primitives. The first out-of-bounds
+// read latches err; later reads return zero values without advancing.
+type blockReader struct {
+	data []byte
+	pos  int
+	err  error
+}
+
+func (r *blockReader) left() uint64 { return uint64(len(r.data) - r.pos) }
+
+func (r *blockReader) fail() {
+	if r.err == nil {
+		r.err = fmt.Errorf("engine: column block truncated or malformed at byte %d", r.pos)
 	}
-	rest := data
-	if len(data) >= 4 && string(data[:4]) == gobBlockMagic {
-		rest = data[4:]
+	r.pos = len(r.data)
+}
+
+func (r *blockReader) byte() byte {
+	if r.left() < 1 {
+		r.fail()
+		return 0
 	}
-	var rows []Row
-	if err := gobDecodeRows(rest, &rows); err != nil {
-		return nil, err
+	r.pos++
+	return r.data[r.pos-1]
+}
+
+func (r *blockReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.data[r.pos:])
+	if n <= 0 {
+		r.fail()
+		return 0
 	}
-	return rows, nil
+	r.pos += n
+	return x
+}
+
+func (r *blockReader) varint() int64 {
+	x, n := binary.Varint(r.data[r.pos:])
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.pos += n
+	return x
+}
+
+// bytes returns the next n bytes, sharing the input.
+func (r *blockReader) bytes(n uint64) []byte {
+	if n > r.left() {
+		r.fail()
+		return nil
+	}
+	r.pos += int(n)
+	return r.data[r.pos-int(n) : r.pos]
 }

@@ -8,8 +8,27 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+// encodeRows encodes rows through the Store-boundary encoder and checks that
+// EncodedSize predicts it byte for byte.
+func encodeRows(t *testing.T, rows []Row) []byte {
+	t.Helper()
+	buf, err := EncodeBlockBytes(rows)
+	if err != nil {
+		t.Fatalf("strictly typed rows refused encoding: %v", err)
+	}
+	b, err := rowsBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := EncodedSize(b); size != int64(len(buf)) {
+		t.Fatalf("EncodedSize = %d, encoded %d bytes", size, len(buf))
+	}
+	return buf
+}
 
 func TestColumnBlockRoundTrip(t *testing.T) {
 	rows := []Row{
@@ -17,14 +36,7 @@ func TestColumnBlockRoundTrip(t *testing.T) {
 		{int64(1 << 40), math.Inf(-1), ""},
 		{int64(0), -0.0, "héllo|world"},
 	}
-	buf, ok := EncodeColumnBlock(rows)
-	if !ok {
-		t.Fatal("strictly typed rows refused column-block encoding")
-	}
-	if size, ok := ColumnBlockSize(rows); !ok || size != int64(len(buf)) {
-		t.Fatalf("ColumnBlockSize = %d ok=%v, encoded %d bytes", size, ok, len(buf))
-	}
-	got, err := DecodeBlockFile(buf)
+	got, err := DecodeBlockFile(encodeRows(t, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +46,7 @@ func TestColumnBlockRoundTrip(t *testing.T) {
 }
 
 func TestColumnBlockNaNBits(t *testing.T) {
-	rows := []Row{{math.NaN()}}
-	buf, ok := EncodeColumnBlock(rows)
-	if !ok {
-		t.Fatal("float rows refused encoding")
-	}
-	got, err := DecodeBlockFile(buf)
+	got, err := DecodeBlockFile(encodeRows(t, []Row{{math.NaN()}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +56,7 @@ func TestColumnBlockNaNBits(t *testing.T) {
 }
 
 func TestColumnBlockEmpty(t *testing.T) {
-	buf, ok := EncodeColumnBlock(nil)
-	if !ok {
-		t.Fatal("empty rows refused encoding")
-	}
-	got, err := DecodeBlockFile(buf)
+	got, err := DecodeBlockFile(encodeRows(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,57 +71,115 @@ func TestColumnBlockRejectsUntypedRows(t *testing.T) {
 		{{int(7)}},                    // plain int has no vector type
 		{{int64(1), "a"}, {int64(2)}}, // ragged widths
 		{{nil}},                       // nil value
+		{{}, {}},                      // rows without columns
 	}
-	for i, rows := range cases {
-		if _, ok := EncodeColumnBlock(rows); ok {
-			t.Errorf("case %d: untyped rows accepted by column-block encoding", i)
-		}
-		if _, ok := ColumnBlockSize(rows); ok {
-			t.Errorf("case %d: untyped rows got a column-block size", i)
-		}
-	}
-}
-
-func TestDiskStoreGobFallbackRoundTrip(t *testing.T) {
-	// A column mixing int64 and float64 across rows cannot be a typed
-	// vector; the store must fall back to gob and still round-trip exactly.
 	d, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []Row{{int64(1)}, {2.5}}
-	if err := d.Put("mixed", 0, rows, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := d.Get("mixed", 0)
-	if !ok || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("gob fallback round trip: ok=%v got=%v", ok, got)
+	for i, rows := range cases {
+		if _, err := EncodeBlockBytes(rows); err == nil {
+			t.Errorf("case %d: untyped rows accepted by column-block encoding", i)
+		}
+		if err := d.Put("untyped", i, rows, len(cases)); err == nil {
+			t.Errorf("case %d: DiskStore.Put accepted untyped rows", i)
+		}
 	}
 }
 
-func TestDiskStoreReadsLegacyPlainGobFiles(t *testing.T) {
-	// Files written before the columnar refactor are whole-file gob streams
-	// with no magic; Get must still decode them.
-	dir := t.TempDir()
-	d, err := NewDiskStore(dir)
-	if err != nil {
+// TestLegacyCheckpointFormatsRejected pins that FTCB version 2 is the only
+// checkpoint format: the gob fallback for mixed-type partitions, legacy
+// plain-gob files and version-1 column blocks are all refused. Checkpoints
+// are intermediates of one query, so nothing ever needs to read them across
+// versions.
+func TestLegacyCheckpointFormatsRejected(t *testing.T) {
+	var gobRows bytes.Buffer
+	if err := gob.NewEncoder(&gobRows).Encode([]Row{{int64(3), "legacy"}}); err != nil {
 		t.Fatal(err)
 	}
-	rows := []Row{{int64(3), "legacy"}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		t.Fatal(err)
+	v1 := []byte(colBlockMagic)
+	v1 = append(v1, 1)               // version 1: no encoding bytes
+	v1 = binary.AppendUvarint(v1, 1) // ncols
+	v1 = binary.AppendUvarint(v1, 1) // nrows
+	v1 = append(v1, byte(TypeInt))   // column type
+	v1 = binary.AppendVarint(v1, -7) // the value
+	for name, data := range map[string][]byte{
+		"gob-fallback":     append([]byte("FTGB"), gobRows.Bytes()...),
+		"legacy-plain-gob": gobRows.Bytes(),
+		"ftcb-version-1":   v1,
+	} {
+		if rows, err := DecodeBlockFile(data); err == nil {
+			t.Errorf("%s: decoded as %v, want an error", name, rows)
+		}
+		dir := t.TempDir()
+		d, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "old.part0.ftcb"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rows, ok := d.Get("old", 0); ok {
+			t.Errorf("%s: DiskStore.Get restored %v, want a miss", name, rows)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "old.part0.gob"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// hostileBlock claims 48 columns of 1.8 million rows in a dozen bytes.
+const hostileBlock = "FTCB\x020\xe5\xffm0\x01x"
+
+// TestDecodeBlockFileBoundsHostileInput checks the decoder measures a
+// block's claimed size against its actual length before allocating.
+func TestDecodeBlockFileBoundsHostileInput(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBlockFile([]byte(hostileBlock))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile block decoded without error")
 	}
-	got, ok := d.Get("old", 0)
-	if !ok || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("legacy gob file: ok=%v got=%v", ok, got)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the hostile block allocated %d bytes, want < 1 MB", alloc)
 	}
+}
+
+// FuzzDecodeBlockFile feeds arbitrary bytes to the checkpoint decoder: it
+// must never panic, never return more values than the input has bytes, and
+// whatever it accepts must re-encode and decode to the same rows.
+func FuzzDecodeBlockFile(f *testing.F) {
+	f.Add([]byte(hostileBlock))
+	f.Add([]byte{})
+	f.Add([]byte("FTCB\x02\x00\x00"))
+	for _, rows := range [][]Row{
+		{{int64(1), 2.5, "a"}, {int64(2), -1.0, "a"}},
+		{{int64(100)}, {int64(101)}, {int64(102)}},
+	} {
+		buf, err := EncodeBlockBytes(rows)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := DecodeBlockFile(data)
+		if err != nil {
+			return
+		}
+		if len(rows) > 0 && len(rows)*len(rows[0]) > len(data) {
+			t.Fatalf("%d rows of %d values decoded from %d bytes", len(rows), len(rows[0]), len(data))
+		}
+		buf, err := EncodeBlockBytes(rows)
+		if err != nil {
+			t.Fatalf("decoded rows do not re-encode: %v", err)
+		}
+		again, err := DecodeBlockFile(buf)
+		if err != nil {
+			t.Fatalf("re-encoded block does not decode: %v", err)
+		}
+		if !equalRowsNaN(again, rows) {
+			t.Fatal("decode(encode(rows)) != rows")
+		}
+	})
 }
 
 func TestDiskStoreGCsOrphanedTempFiles(t *testing.T) {
@@ -155,8 +216,8 @@ func TestDiskStoreGCsOrphanedTempFiles(t *testing.T) {
 // v2 format can choose — plain and delta ints (including wrap-around at the
 // int64 extremes), plain floats with NaN/±Inf/-0, plain and dictionary
 // strings — and checks the property the checkpoint-bytes metric depends on:
-// ColumnBlockSize predicts the encoder byte-for-byte, and decode(encode(x))
-// == x.
+// EncodedSize predicts the encoder byte-for-byte, and decode(encode(x)) ==
+// x.
 func TestColumnBlockCompressionRoundTrip(t *testing.T) {
 	cases := map[string][]Row{
 		"sorted-ints-delta": func() []Row {
@@ -208,14 +269,7 @@ func TestColumnBlockCompressionRoundTrip(t *testing.T) {
 		}(),
 	}
 	for name, rows := range cases {
-		buf, ok := EncodeColumnBlock(rows)
-		if !ok {
-			t.Fatalf("%s: strictly typed rows refused encoding", name)
-		}
-		if size, ok := ColumnBlockSize(rows); !ok || size != int64(len(buf)) {
-			t.Errorf("%s: ColumnBlockSize = %d, encoded %d bytes", name, size, len(buf))
-		}
-		got, err := DecodeBlockFile(buf)
+		got, err := DecodeBlockFile(encodeRows(t, rows))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -253,117 +307,81 @@ func equalRowsNaN(a, b []Row) bool {
 // compressed form where it should: near-sequential ints beat plain varints,
 // low-cardinality strings beat repeated literals.
 func TestColumnBlockCompressionShrinks(t *testing.T) {
-	ints := make([]Row, 1000)
+	ints := make([]int64, 1000)
+	strs := make([]string, 1000)
 	for i := range ints {
-		ints[i] = Row{int64(5_000_000_000 + i)}
+		ints[i] = int64(5_000_000_000 + i)
+		strs[i] = []string{"AUTOMOBILE", "FURNITURE"}[i%2]
 	}
-	plain, delta := intColSizes(ints, 0)
+	plain, delta := intColSizes(ints)
 	if delta >= plain {
 		t.Fatalf("sequential ints: delta %d not smaller than plain %d", delta, plain)
 	}
-	strs := make([]Row, 1000)
-	for i := range strs {
-		strs[i] = Row{[]string{"AUTOMOBILE", "FURNITURE"}[i%2]}
-	}
-	splain, dict := stringColSizes(strs, 0)
+	splain, dict := stringColSizes(strs)
 	if dict >= splain {
 		t.Fatalf("low-cardinality strings: dict %d not smaller than plain %d", dict, splain)
 	}
 	// And the whole-block size reflects the choice.
-	both := make([]Row, 1000)
-	for i := range both {
-		both[i] = Row{ints[i][0], strs[i][0]}
-	}
-	size, ok := ColumnBlockSize(both)
-	if !ok {
-		t.Fatal("typed rows refused sizing")
+	b, err := NewBatchFromCols(Schema{{Type: TypeInt}, {Type: TypeString}},
+		[]Vector{{Type: TypeInt, Ints: ints}, {Type: TypeString, Strings: strs}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	header := int64(len(colBlockMagic)) + 1 + uvarintLen(2) + uvarintLen(1000) + 2*2
-	if size != header+delta+dict {
+	if size := EncodedSize(b); size != header+delta+dict {
 		t.Fatalf("block size %d does not reflect compressed choices (want %d)", size, header+delta+dict)
 	}
 }
 
-// TestColumnBlockReadsVersion1Blocks hand-builds a version-1 block (no
-// per-column encoding byte, always plain) and checks the v2 decoder still
-// reads it — on-disk checkpoints from older builds stay restorable.
-func TestColumnBlockReadsVersion1Blocks(t *testing.T) {
-	want := []Row{
-		{int64(-7), 2.5, "a"},
-		{int64(42), -0.25, "bc"},
-	}
-	buf := []byte(colBlockMagic)
-	buf = append(buf, colBlockVersion1)
-	buf = appendUvarintTest(buf, 3) // ncols
-	buf = appendUvarintTest(buf, 2) // nrows
-	buf = append(buf, byte(TypeInt))
-	buf = appendVarintTest(buf, -7)
-	buf = appendVarintTest(buf, 42)
-	buf = append(buf, byte(TypeFloat))
-	for _, f := range []float64{2.5, -0.25} {
-		var sc [8]byte
-		binary.LittleEndian.PutUint64(sc[:], math.Float64bits(f))
-		buf = append(buf, sc[:]...)
-	}
-	buf = append(buf, byte(TypeString))
-	for _, s := range []string{"a", "bc"} {
-		buf = appendUvarintTest(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	got, err := DecodeBlockFile(buf)
+// TestEncodeBlockBytesMatchesStoreFiles pins the invariant the async
+// checkpoint writer's EncodedStore fast path relies on: the bytes it encodes
+// straight from a batch are identical to what a direct Put of the same rows
+// writes.
+func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
+	schema := Schema{{Name: "k", Type: TypeInt}, {Name: "s", Type: TypeString}}
+	rows := []Row{{int64(1), "x"}, {int64(2), "y"}, {int64(3), "x"}}
+	b, err := RowsToBatch(schema, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 read-back mismatch:\n got %v\nwant %v", got, want)
+	// A selection vector must encode as the selected rows only.
+	b.Sel = []int32{0, 2}
+	rows = []Row{rows[0], rows[2]}
+	data, err := EncodeBatch(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func appendUvarintTest(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarintTest(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
-// TestEncodeBlockBytesMatchesStoreFiles pins the invariant the async
-// checkpoint writer's EncodedStore fast path relies on: the pre-encoded
-// bytes are identical to what a direct Put writes, for both the columnar
-// and the FTGB gob fallback encodings.
-func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
-	for name, rows := range map[string][]Row{
-		"columnar": {{int64(1), "x"}, {int64(2), "y"}},
-		"gob":      {{int64(1)}, {2.5}}, // mixed column -> FTGB fallback
-	} {
-		data, err := EncodeBlockBytes(rows)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		dir := t.TempDir()
-		d1, err := NewDiskStore(filepath.Join(dir, "put"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d1.Put("op", 0, rows, 1); err != nil {
-			t.Fatal(err)
-		}
-		d2, err := NewDiskStore(filepath.Join(dir, "enc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d2.PutEncoded("op", 0, data, 1); err != nil {
-			t.Fatal(err)
-		}
-		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.part0.gob"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.part0.gob"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(f1, f2) {
-			t.Errorf("%s: PutEncoded file differs from Put file (%d vs %d bytes)", name, len(f2), len(f1))
-		}
-		got, ok := d2.Get("op", 0)
-		if !ok || !reflect.DeepEqual(got, rows) {
-			t.Errorf("%s: PutEncoded read-back mismatch: ok=%v got=%v", name, ok, got)
-		}
+	if size := EncodedSize(b); size != int64(len(data)) {
+		t.Errorf("EncodedSize = %d, EncodeBatch wrote %d bytes", size, len(data))
+	}
+	dir := t.TempDir()
+	d1, err := NewDiskStore(filepath.Join(dir, "put"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Put("op", 0, rows, 1); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewDiskStore(filepath.Join(dir, "enc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.PutEncoded("op", 0, data, 1); err != nil {
+		t.Fatal(err)
+	}
+	f1, err := os.ReadFile(filepath.Join(dir, "put", "op.part0.ftcb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.part0.ftcb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f1, f2) {
+		t.Errorf("PutEncoded file differs from Put file (%d vs %d bytes)", len(f2), len(f1))
+	}
+	got, ok := d2.Get("op", 0)
+	if !ok || !reflect.DeepEqual(got, rows) {
+		t.Errorf("PutEncoded read-back mismatch: ok=%v got=%v", ok, got)
 	}
 }

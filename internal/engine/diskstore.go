@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,10 +28,26 @@ type Store interface {
 // serialized in the block-file format. The runtime's checkpoint writer uses
 // it to overlap encoding with the previous partition's write: the encode
 // stage produces the bytes off the write path, and the write stage persists
-// them without re-encoding. The data must come from EncodeBlockBytes so
-// every reader (Get, DecodeBlockFile) understands it.
+// them without re-encoding. The data must come from EncodeBatch or
+// EncodeBlockBytes so every reader (Get, DecodeBlockFile) understands it.
 type EncodedStore interface {
 	PutEncoded(op string, part int, data []byte, parts int) error
+}
+
+// GetBatch restores one materialized partition of op from s; ok is false
+// when the store does not hold it. The stored rows must match op's output
+// schema exactly — a mismatch fails with an error naming the operator and
+// the partition.
+func GetBatch(s Store, op Operator, part int) (b *Batch, ok bool, err error) {
+	rows, ok := s.Get(op.Name(), part)
+	if !ok {
+		return nil, false, nil
+	}
+	b, err = RowsToBatch(op.OutSchema(), rows)
+	if err != nil {
+		return nil, true, fmt.Errorf("engine: restore %s partition %d: %w", op.Name(), part, err)
+	}
+	return b, true, nil
 }
 
 var (
@@ -43,16 +56,8 @@ var (
 	_ EncodedStore = (*DiskStore)(nil)
 )
 
-func init() {
-	// Row values are interfaces; register the concrete value types so gob
-	// can encode them.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-}
-
 // DiskStore persists materialized partitions as column-block files under a
-// directory (gob fallback for partitions that are not strictly typed).
+// directory; partitions that are not strictly typed are refused.
 // Unlike MatStore it survives engine restarts, so a re-submitted query can
 // resume from previously materialized intermediates.
 type DiskStore struct {
@@ -98,13 +103,14 @@ func (d *DiskStore) path(op string, part int) string {
 			return '_'
 		}
 	}, op)
-	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d.gob", safe, part))
+	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d.ftcb", safe, part))
 }
 
 // Put implements Store. Writes are crash-safe: the partition is encoded to a
 // temp file, fsynced, then atomically renamed into place, and the directory
 // is fsynced so the rename itself survives a crash. A kill at any point
 // leaves either the old partition (or nothing) visible — never a torn file.
+// Rows that are not strictly typed cannot be encoded and return an error.
 func (d *DiskStore) Put(op string, part int, rows []Row, parts int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -180,44 +186,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// writeBlockFile serializes one partition to w: the column-block format when
-// the rows are strictly typed, a magic-prefixed gob stream otherwise.
-func writeBlockFile(w io.Writer, rows []Row) error {
-	if buf, ok := EncodeColumnBlock(rows); ok {
-		_, err := w.Write(buf)
-		return err
-	}
-	if _, err := io.WriteString(w, gobBlockMagic); err != nil {
-		return err
-	}
-	if rows == nil {
-		rows = []Row{}
-	}
-	return gob.NewEncoder(w).Encode(rows)
-}
-
-// EncodeBlockBytes serializes one partition to the exact bytes writeBlockFile
-// would stream — column block or magic-prefixed gob — so off-path encoders
-// (the runtime's async checkpoint writer) produce files identical to the
-// staged executor's.
-func EncodeBlockBytes(rows []Row) ([]byte, error) {
-	if buf, ok := EncodeColumnBlock(rows); ok {
-		return buf, nil
-	}
-	var b bytes.Buffer
-	if err := writeBlockFile(&b, rows); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// gobDecodeRows decodes a gob-encoded row slice from data.
-func gobDecodeRows(data []byte, rows *[]Row) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(rows)
-}
-
-// Get implements Store. It reads the column-block format, the gob fallback,
-// and legacy plain-gob files written before the columnar refactor.
+// Get implements Store. A partition that does not decode as a column block
+// is treated as missing, so the engine recomputes it.
 func (d *DiskStore) Get(op string, part int) ([]Row, bool) {
 	data, err := os.ReadFile(d.path(op, part))
 	if err != nil {

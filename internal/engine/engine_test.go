@@ -33,7 +33,7 @@ func mustTable(t *testing.T, name string, schema Schema, rows []Row, parts, key 
 	return tb
 }
 
-func execute(t *testing.T, co *Coordinator, root Operator) (*PartitionedResult, *Report) {
+func execute(t *testing.T, co *Coordinator, root Operator) (*BatchResult, *Report) {
 	t.Helper()
 	res, rep, err := co.Execute(root)
 	if err != nil {
@@ -48,16 +48,16 @@ func TestTablePartitioning(t *testing.T) {
 		t.Errorf("rows = %d, want 100", tb.Rows())
 	}
 	// Hash partitioning should spread rows around.
-	for p, rows := range tb.Parts {
-		if len(rows) == 0 {
+	for p, b := range tb.Parts {
+		if b.Len() == 0 {
 			t.Errorf("partition %d empty", p)
 		}
 	}
 	// Same key -> same partition.
 	tb2 := mustTable(t, "t2", kvSchema(), []Row{{int64(7), 1.0}, {int64(7), 2.0}}, 4, 0)
 	nonEmpty := 0
-	for _, rows := range tb2.Parts {
-		if len(rows) > 0 {
+	for _, b := range tb2.Parts {
+		if b.Len() > 0 {
 			nonEmpty++
 		}
 	}
@@ -72,8 +72,8 @@ func TestReplicatedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		if len(tb.Parts[p]) != 3 {
-			t.Errorf("partition %d has %d rows, want 3", p, len(tb.Parts[p]))
+		if tb.Parts[p].Len() != 3 {
+			t.Errorf("partition %d has %d rows, want 3", p, tb.Parts[p].Len())
 		}
 	}
 }
@@ -126,9 +126,9 @@ func TestExchangeRepartitions(t *testing.T) {
 	if got := len(res.AllRows()); got != 40 {
 		t.Fatalf("exchange lost rows: %d != 40", got)
 	}
-	for p, rows := range res.Parts {
-		for _, r := range rows {
-			if int(hashValue(r[0])%4) != p {
+	for p, b := range res.Parts {
+		for _, r := range b.ToRows() {
+			if int(hashInt64(r[0].(int64))%4) != p {
 				t.Errorf("row with key %v in wrong partition %d", r[0], p)
 			}
 		}

@@ -150,7 +150,7 @@ const maxAttemptsPerPartition = 1000
 
 type execState struct {
 	co       *Coordinator
-	results  map[Operator]*PartitionedResult
+	results  map[Operator]*BatchResult
 	done     map[Operator][]bool
 	attempts map[string]int
 	report   *Report
@@ -162,7 +162,7 @@ type execState struct {
 }
 
 // Execute runs the query rooted at root and returns its partitioned result.
-func (co *Coordinator) Execute(root Operator) (*PartitionedResult, *Report, error) {
+func (co *Coordinator) Execute(root Operator) (*BatchResult, *Report, error) {
 	if co.Nodes <= 0 {
 		return nil, nil, fmt.Errorf("engine: coordinator needs at least one node")
 	}
@@ -199,7 +199,7 @@ func (co *Coordinator) Execute(root Operator) (*PartitionedResult, *Report, erro
 		attemptStart := time.Now()
 		st := &execState{
 			co:       co,
-			results:  make(map[Operator]*PartitionedResult),
+			results:  make(map[Operator]*BatchResult),
 			done:     make(map[Operator][]bool),
 			attempts: attempts,
 			report:   report,
@@ -209,7 +209,7 @@ func (co *Coordinator) Execute(root Operator) (*PartitionedResult, *Report, erro
 		// The coordinator goroutine itself does real work (commit, checkpoint
 		// encode, recovery), so it runs labeled too; workers inherit the
 		// query-level labels through st.pctx.
-		var res *PartitionedResult
+		var res *BatchResult
 		prof.Do(context.Background(), co.ProfLabels, func(ctx context.Context) {
 			st.pctx = ctx
 			res, err = st.run(root)
@@ -256,7 +256,7 @@ func asRestart(err error, target **restartFailure) bool {
 	return ok
 }
 
-func (st *execState) run(root Operator) (*PartitionedResult, error) {
+func (st *execState) run(root Operator) (*BatchResult, error) {
 	for _, op := range st.order {
 		if err := st.computeAll(op); err != nil {
 			return nil, err
@@ -278,7 +278,7 @@ func (st *execState) computeAll(op Operator) error {
 		var rows int64
 		for part, ok := range st.done[op] {
 			if ok {
-				rows += int64(len(st.results[op].Parts[part]))
+				rows += int64(st.results[op].Parts[part].Len())
 			}
 		}
 		stageSpan.SetRows(rows)
@@ -299,7 +299,7 @@ func (st *execState) computeAll(op Operator) error {
 
 	type outcome struct {
 		part      int
-		rows      []Row
+		b         *Batch
 		failed    bool
 		fromStore bool
 		err       error
@@ -321,9 +321,11 @@ func (st *execState) computeAll(op Operator) error {
 			prof.Do(st.pctx, prof.Labels{
 				Stage: op.Name(), Op: op.Name(), Attempt: prof.AttemptLabel(attempt),
 			}, func(context.Context) {
-				if rows, ok := st.co.Store.Get(op.Name(), part); ok && op.Materialize() {
-					out[part] = outcome{part: part, rows: rows, fromStore: true}
-					return
+				if op.Materialize() {
+					if b, ok, err := GetBatch(st.co.Store, op, part); ok || err != nil {
+						out[part] = outcome{part: part, b: b, fromStore: true, err: err}
+						return
+					}
 				}
 				sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
 				if st.co.Injector.FailCompute(op.Name(), part, attempt) {
@@ -334,13 +336,13 @@ func (st *execState) computeAll(op Operator) error {
 					out[part] = outcome{part: part, failed: true}
 					return
 				}
-				rows, err := op.Compute(part, st.inputResults(op))
-				sp.SetRows(int64(len(rows)))
+				b, err := op.ComputeBatch(part, st.inputResults(op))
+				sp.SetRows(int64(b.Len()))
 				if err != nil {
 					sp.Fail(err.Error())
 				}
 				sp.End()
-				out[part] = outcome{part: part, rows: rows, err: err}
+				out[part] = outcome{part: part, b: b, err: err}
 			})
 		}(part)
 	}
@@ -361,10 +363,10 @@ func (st *execState) computeAll(op Operator) error {
 		}
 		if !o.fromStore {
 			st.attempts[attemptKey(op, part)]++
-			st.co.Metrics.AddRows(int64(len(o.rows)))
-			st.co.Metrics.AddStageRows(op.Name(), int64(len(o.rows)))
+			st.co.Metrics.AddRows(int64(o.b.Len()))
+			st.co.Metrics.AddStageRows(op.Name(), int64(o.b.Len()))
 		}
-		if err := st.commit(op, part, o.rows); err != nil {
+		if err := st.commit(op, part, o.b); err != nil {
 			return err
 		}
 	}
@@ -408,8 +410,10 @@ func (st *execState) ensure(op Operator, part int) error {
 	}
 	// Materialized output survives failures: restore from the FT store.
 	if op.Materialize() {
-		if rows, ok := st.co.Store.Get(op.Name(), part); ok {
-			return st.commit(op, part, rows)
+		if b, ok, err := GetBatch(st.co.Store, op, part); err != nil {
+			return err
+		} else if ok {
+			return st.commit(op, part, b)
 		}
 	}
 	// Recover inputs: narrow operators need partition `part`, wide operators
@@ -457,38 +461,41 @@ func (st *execState) ensure(op Operator, part int) error {
 			continue
 		}
 		sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
-		var rows []Row
+		var b *Batch
 		var err error
 		prof.Do(st.pctx, prof.Labels{
 			Stage: op.Name(), Op: op.Name(), Attempt: prof.AttemptLabel(attempt),
 		}, func(context.Context) {
-			rows, err = op.Compute(part, st.inputResults(op))
+			b, err = op.ComputeBatch(part, st.inputResults(op))
 		})
 		if err != nil {
 			sp.Fail(err.Error())
 			sp.End()
 			return err
 		}
-		sp.SetRows(int64(len(rows)))
+		sp.SetRows(int64(b.Len()))
 		sp.End()
 		st.attempts[key]++
 		st.report.RecomputedPartitions++
 		st.co.Metrics.AddRecoveries(1)
-		st.co.Metrics.AddRows(int64(len(rows)))
-		st.co.Metrics.AddStageRows(op.Name(), int64(len(rows)))
-		return st.commit(op, part, rows)
+		st.co.Metrics.AddRows(int64(b.Len()))
+		st.co.Metrics.AddStageRows(op.Name(), int64(b.Len()))
+		return st.commit(op, part, b)
 	}
 }
 
 // commit records a computed partition and persists it when materialized. A
 // store write failure is returned: recovery must never proceed believing a
 // checkpoint exists that never durably landed.
-func (st *execState) commit(op Operator, part int, rows []Row) error {
+func (st *execState) commit(op Operator, part int, b *Batch) error {
+	if b.Len() == 0 {
+		b = nil // canonical empty-partition representation
+	}
 	res := st.ensureResult(op)
-	res.Parts[part] = rows
+	res.Parts[part] = b
 	res.Lost[part] = false
 	if !st.done[op][part] {
-		st.prog[op].PartDone(int64(len(rows)))
+		st.prog[op].PartDone(int64(b.Len()))
 	}
 	st.done[op][part] = true
 	if op.Materialize() {
@@ -499,18 +506,18 @@ func (st *execState) commit(op Operator, part int, rows []Row) error {
 			prof.Do(st.pctx, prof.Labels{Stage: op.Name(), Op: op.Name()}, func(context.Context) {
 				sp := st.co.Tracer.Begin(obs.KindCheckpoint, op.Name(), part, -1)
 				start := time.Now()
-				if err := st.co.Store.Put(op.Name(), part, rows, st.co.Nodes); err != nil {
+				if err := st.co.Store.Put(op.Name(), part, b.ToRows(), st.co.Nodes); err != nil {
 					sp.Fail(err.Error())
 					sp.End()
 					perr = fmt.Errorf("engine: materialize %s/%d: %w", op.Name(), part, err)
 					return
 				}
 				st.co.Metrics.ObserveCheckpointWrite(metrics.RuntimeStaged, time.Since(start))
-				n := EncodedSize(rows)
+				n := EncodedSize(b)
 				st.co.Metrics.AddCheckpoint(n)
 				st.prog[op].AddCheckpointBytes(n)
 				sp.SetBytes(n)
-				sp.SetRows(int64(len(rows)))
+				sp.SetRows(int64(b.Len()))
 				sp.End()
 				st.report.MaterializedPartitions++
 			})
@@ -529,13 +536,11 @@ func (st *execState) dropVolatileOnNode(node int) {
 		if op.Materialize() {
 			continue
 		}
-		if _, isScan := op.(*Scan); isScan {
-			// Base-table scans read the partitioned database, which the DBMS
-			// recovers itself; treat scan output as recomputable state that
-			// is nonetheless lost.
-		}
+		// Base-table scans read the partitioned database, which the DBMS
+		// recovers itself; their output is recomputable state that is
+		// nonetheless lost.
 		if st.done[op][node] {
-			rows := int64(len(res.Parts[node]))
+			rows := int64(res.Parts[node].Len())
 			res.Parts[node] = nil
 			res.Lost[node] = true
 			st.done[op][node] = false
@@ -544,19 +549,19 @@ func (st *execState) dropVolatileOnNode(node int) {
 	}
 }
 
-func (st *execState) ensureResult(op Operator) *PartitionedResult {
+func (st *execState) ensureResult(op Operator) *BatchResult {
 	res, ok := st.results[op]
 	if !ok {
-		res = newResult(op.OutSchema(), st.co.Nodes)
+		res = NewBatchResult(op.OutSchema(), st.co.Nodes)
 		st.results[op] = res
 		st.done[op] = make([]bool, st.co.Nodes)
 	}
 	return res
 }
 
-func (st *execState) inputResults(op Operator) []*PartitionedResult {
+func (st *execState) inputResults(op Operator) []*BatchResult {
 	ins := op.Inputs()
-	out := make([]*PartitionedResult, len(ins))
+	out := make([]*BatchResult, len(ins))
 	for i, in := range ins {
 		out[i] = st.results[in]
 	}
@@ -568,8 +573,9 @@ func attemptKey(op Operator, part int) string {
 }
 
 // topoSort orders the DAG producers-first, deduplicating shared sub-plans by
-// operator identity, and rejects duplicate operator names (which would
-// collide in the materialization store).
+// operator identity, and rejects operators with construction errors and
+// duplicate operator names (which would collide in the materialization
+// store).
 func topoSort(root Operator) ([]Operator, error) {
 	var order []Operator
 	seen := make(map[Operator]bool)
@@ -584,6 +590,9 @@ func topoSort(root Operator) ([]Operator, error) {
 			if err := visit(in); err != nil {
 				return err
 			}
+		}
+		if err := op.Err(); err != nil {
+			return err
 		}
 		if names[op.Name()] {
 			return fmt.Errorf("engine: duplicate operator name %q in query", op.Name())

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -140,6 +141,32 @@ func FuzzCompiledExpr(f *testing.F) {
 			if got := vec.Value(i); !sameValue(got, want[i]) {
 				t.Fatalf("row %d: compiled=%v interpreted=%v\nexpr=%#v rows=%v", i, got, want[i], e, rows)
 			}
+		}
+
+		// As a predicate, the compiled filter keeps exactly the rows the
+		// interpreted truthy keeps.
+		cp, err := CompilePredicate(e, schema)
+		if err != nil {
+			t.Fatalf("expression compiled but predicate did not: %v", err)
+		}
+		sel, ferr := cp.Filter(b)
+		var keep []int32
+		var terr error
+		for i, r := range rows {
+			ok, err := truthy(e, r)
+			if err != nil {
+				terr = err
+				break
+			}
+			if ok {
+				keep = append(keep, int32(i))
+			}
+		}
+		if (terr != nil) != (ferr != nil) {
+			t.Fatalf("predicate errors differ: interpreted=%v compiled=%v\nexpr=%#v rows=%v", terr, ferr, e, rows)
+		}
+		if terr == nil && !slices.Equal(sel, keep) && len(sel)+len(keep) > 0 {
+			t.Fatalf("predicate kept %v, interpreted kept %v\nexpr=%#v rows=%v", sel, keep, e, rows)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 )
@@ -13,8 +12,9 @@ import (
 // stream — stateful kernels are created fresh per attempt.
 //
 // Kernels are the single implementation of each narrow operator: the staged
-// Coordinator reaches them through the row↔batch bridge in kernelRows, the
-// pipelined runtime feeds them batches straight off its channels.
+// Coordinator feeds them whole partitions through the operators'
+// ComputeBatch, the pipelined runtime feeds them batches straight off its
+// channels.
 type BatchKernel interface {
 	Process(b *Batch) (*Batch, error)
 	Flush() (*Batch, error)
@@ -40,7 +40,7 @@ func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
 	case *Project:
 		return &projectKernel{op: o, loc: loc}, true
 	case *HashAggregate:
-		return newAggKernelLocal(o, loc), true
+		return newAggKernel(o, loc), true
 	case *Limit:
 		return &limitKernel{remaining: o.n, loc: loc}, true
 	default:
@@ -48,37 +48,9 @@ func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
 	}
 }
 
-// kernelRows is the row↔batch bridge for the staged Compute contract: it
-// feeds each input partition through the kernel as one batch (strictly
-// columnar when the rows allow, raw otherwise) and materializes the output
-// back to rows (nil when empty).
-func kernelRows(k BatchKernel, inSchema Schema, parts ...[]Row) ([]Row, error) {
-	var out []Row
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		ob, err := k.Process(rowsOrBatch(inSchema, p))
-		if err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			out = ob.AppendRows(out)
-		}
-	}
-	fb, err := k.Flush()
-	if err != nil {
-		return nil, err
-	}
-	if fb != nil {
-		out = fb.AppendRows(out)
-	}
-	return out, nil
-}
-
 // kernelBatches feeds whole input batches through a kernel and concatenates
-// the outputs — the batch-native analogue of kernelRows, used by wide
-// operators' ComputeBatch (final aggregation merge, limit over all parts).
+// the outputs — how the operators' ComputeBatch reaches their kernels
+// (including wide ones: final aggregation merge, limit over all parts).
 // Inputs are only read; single-batch outputs pass through without copying.
 func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, error) {
 	var outs []*Batch
@@ -114,131 +86,114 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 	return bb.Finish(), nil
 }
 
-// rawRows exposes the batch's logical rows for interpreted fallback paths.
-func (b *Batch) rawRows() []Row {
-	if b.raw != nil {
-		return b.raw
-	}
-	return b.ToRows()
-}
-
-// filterKernel applies a Select predicate. On columnar batches the compiled
-// predicate narrows the selection vector without touching column data; raw
-// batches (or uncompilable predicates) run the interpreted row loop.
+// filterKernel applies a Select predicate: the compiled predicate narrows
+// the selection vector without touching column data.
 type filterKernel struct {
 	op  *Select
 	loc *Local
 }
 
 func (k *filterKernel) Process(b *Batch) (*Batch, error) {
-	if !b.IsRaw() && k.op.cpred != nil {
-		sel, err := k.op.cpred.filterInto(b, k.loc)
-		if err != nil {
-			return nil, err
-		}
-		if k.loc == nil {
-			// Staged mode: the input may be a shared committed batch, so it is
-			// only read — the output aliases its columns under a new shell.
-			return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}, nil
-		}
-		// Transfer the input's column storage to the output and recycle the
-		// input's shell before drawing the output's, so in the steady state
-		// the same shell cycles between input and output.
-		cols, colsPooled := b.takeCols()
-		schema, nrows := b.Schema, b.nrows
-		b.releaseShell(k.loc)
-		out := k.loc.newBatch()
-		out.Schema = schema
-		out.Cols = cols
-		out.colsPooled = colsPooled
-		out.Sel = sel
-		out.selPooled = true
-		out.nrows = nrows
-		return out, nil
+	if err := k.op.Err(); err != nil {
+		return nil, err
 	}
-	var out []Row
-	for _, r := range b.rawRows() {
-		ok, err := truthy(k.op.pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
+	sel, err := k.op.cpred.filterInto(b, k.loc)
+	if err != nil {
+		return nil, err
 	}
-	return RawBatch(k.op.schema, out), nil
+	if k.loc == nil {
+		// Staged mode: the input may be a shared committed batch, so it is
+		// only read — the output aliases its columns under a new shell.
+		return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}, nil
+	}
+	// Transfer the input's column storage to the output and recycle the
+	// input's shell before drawing the output's, so in the steady state
+	// the same shell cycles between input and output.
+	cols, colsPooled := b.takeCols()
+	schema, nrows := b.Schema, b.nrows
+	b.releaseShell(k.loc)
+	out := k.loc.newBatch()
+	out.Schema = schema
+	out.Cols = cols
+	out.colsPooled = colsPooled
+	out.Sel = sel
+	out.selPooled = true
+	out.nrows = nrows
+	return out, nil
 }
 
 func (k *filterKernel) Flush() (*Batch, error) { return nil, nil }
 
-// projectKernel evaluates Project expressions. Compiled expressions produce
-// output vectors directly; otherwise the interpreted per-row loop runs.
+// projectKernel evaluates Project expressions: compiled expressions produce
+// the output vectors directly.
 type projectKernel struct {
 	op  *Project
 	loc *Local
 }
 
 func (k *projectKernel) Process(b *Batch) (*Batch, error) {
-	if !b.IsRaw() && k.op.cexprs != nil {
-		n := b.Len()
-		cols := k.loc.cols(len(k.op.cexprs))
-		for i, ce := range k.op.cexprs {
-			v, err := ce.eval(b, b.Sel, k.loc)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = v
-		}
-		// With an arena attached the evaluated vectors are copies, so the
-		// input (storage and shell) recycles before the output shell is
-		// drawn; without one they may alias b, which stays untouched.
-		b.Release(k.loc)
-		out := k.loc.newBatch()
-		out.Schema = k.op.schema
-		out.Cols = cols
-		out.colsPooled = k.loc != nil
-		out.nrows = n
-		return out, nil
+	if err := k.op.Err(); err != nil {
+		return nil, err
 	}
-	in := b.rawRows()
-	out := make([]Row, 0, len(in))
-	for _, r := range in {
-		nr := make(Row, len(k.op.exprs))
-		for i, e := range k.op.exprs {
-			v, err := e.Eval(r)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = v
+	n := b.Len()
+	cols := k.loc.cols(len(k.op.cexprs))
+	for i, ce := range k.op.cexprs {
+		v, err := ce.eval(b, b.Sel, k.loc)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, nr)
+		cols[i] = v
 	}
-	return RawBatch(k.op.schema, out), nil
+	// With an arena attached the evaluated vectors are copies, so the
+	// input (storage and shell) recycles before the output shell is
+	// drawn; without one they may alias b, which stays untouched.
+	b.Release(k.loc)
+	out := k.loc.newBatch()
+	out.Schema = k.op.schema
+	out.Cols = cols
+	out.colsPooled = k.loc != nil
+	out.nrows = n
+	return out, nil
 }
 
 func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 
 // aggKernel is the stateful grouping kernel behind HashAggregate: it
-// accumulates group state across batches and emits the sorted result at
-// Flush. Columnar batches accumulate through typed column access; raw
-// batches run the boxed row loop with identical semantics (group signatures
-// render values the same way on both paths).
+// accumulates typed per-group state across batches and emits the groups,
+// sorted by signature, at Flush. Group i's state sits at position i of every
+// accumulator, so nothing is boxed.
 type aggKernel struct {
 	op     *HashAggregate
 	loc    *Local
-	groups map[string]*aggState
-	order  []string
-	sig    []byte // reused per-row signature buffer
+	groups map[string]int32 // group signature → group index
+	sigs   []string         // group index → signature
+	keys   []Vector         // per group column: the group's key value
+	count  []int64          // rows per group
+	sums   [][]float64      // per SUM/AVG aggregate: running sum per group
+	ext    []Vector         // per MIN/MAX aggregate: running extreme per group
+	sig    []byte           // reused per-row signature buffer
 }
 
-func newAggKernel(op *HashAggregate) *aggKernel { return newAggKernelLocal(op, nil) }
-
-func newAggKernelLocal(op *HashAggregate, loc *Local) *aggKernel {
-	return &aggKernel{op: op, loc: loc, groups: make(map[string]*aggState)}
+func newAggKernel(op *HashAggregate, loc *Local) *aggKernel {
+	k := &aggKernel{op: op, loc: loc, groups: make(map[string]int32)}
+	if op.err != nil {
+		return k
+	}
+	// Key and MIN/MAX outputs have their input column's type.
+	k.keys = make([]Vector, len(op.groupCols))
+	for i := range k.keys {
+		k.keys[i].Type = op.schema[i].Type
+	}
+	k.sums = make([][]float64, len(op.aggs))
+	k.ext = make([]Vector, len(op.aggs))
+	for i := range k.ext {
+		k.ext[i].Type = op.schema[len(op.groupCols)+i].Type
+	}
+	return k
 }
 
-// appendSigValue renders one group-key value exactly like the interpreted
-// fmt.Sprintf("%v|", v) does for the three vector types.
+// appendSigValue renders one group-key value (as fmt's %v would) followed
+// by a separator.
 func appendSigValue(dst []byte, v *Vector, p int) []byte {
 	switch v.Type {
 	case TypeInt:
@@ -252,35 +207,9 @@ func appendSigValue(dst []byte, v *Vector, p int) []byte {
 }
 
 func (k *aggKernel) Process(b *Batch) (*Batch, error) {
-	if b.Len() == 0 {
-		b.Release(k.loc)
-		return nil, nil
-	}
-	if b.IsRaw() {
-		for _, r := range b.raw {
-			if err := k.accumulateRow(r); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
 	a := k.op
-	width := len(b.Cols)
-	for _, g := range a.groupCols {
-		if g >= width {
-			return nil, fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, g)
-		}
-	}
-	for _, spec := range a.aggs {
-		if spec.Kind == AggCount {
-			continue
-		}
-		if spec.Col >= width {
-			return nil, fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
-		}
-		if (spec.Kind == AggSum || spec.Kind == AggAvg) && b.Cols[spec.Col].Type == TypeString {
-			return nil, fmt.Errorf("engine: aggregate %s over non-numeric string", a.name)
-		}
+	if err := a.Err(); err != nil {
+		return nil, err
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
@@ -292,109 +221,80 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 		for _, g := range a.groupCols {
 			k.sig = appendSigValue(k.sig, &b.Cols[g], p)
 		}
-		st, ok := k.groups[string(k.sig)]
+		g, ok := k.groups[string(k.sig)]
 		if !ok {
-			key := make(Row, len(a.groupCols))
-			for gi, g := range a.groupCols {
-				key[gi] = b.Cols[g].Value(p)
-			}
-			st = newAggState(key, len(a.aggs))
+			g = int32(len(k.sigs))
 			sig := string(k.sig)
-			k.groups[sig] = st
-			k.order = append(k.order, sig)
+			k.groups[sig] = g
+			k.sigs = append(k.sigs, sig)
+			for gi, c := range a.groupCols {
+				k.keys[gi].appendFrom(&b.Cols[c], p)
+			}
+			k.count = append(k.count, 0)
+			for si, spec := range a.aggs {
+				switch spec.Kind {
+				case AggSum, AggAvg:
+					k.sums[si] = append(k.sums[si], 0)
+				case AggMin, AggMax:
+					k.ext[si].appendFrom(&b.Cols[spec.Col], p)
+				}
+			}
 		}
+		k.count[g]++
 		for si, spec := range a.aggs {
-			if spec.Kind == AggCount {
-				st.counts[si]++
-				continue
-			}
-			vec := &b.Cols[spec.Col]
-			if vec.Type != TypeString {
-				st.sums[si] += numAt(vec, p)
-			}
-			st.counts[si]++
-			if spec.Kind == AggMin || spec.Kind == AggMax {
-				st.updateMinMax(si, vec.Value(p))
+			switch spec.Kind {
+			case AggSum, AggAvg:
+				k.sums[si][g] += numAt(&b.Cols[spec.Col], p)
+			case AggMin, AggMax:
+				// One column's values share a type: the comparison cannot fail.
+				c, _ := compareVecVals(&b.Cols[spec.Col], p, &k.ext[si], int(g))
+				if (spec.Kind == AggMin && c < 0) || (spec.Kind == AggMax && c > 0) {
+					k.ext[si].setFrom(int(g), &b.Cols[spec.Col], p)
+				}
 			}
 		}
 	}
-	// The group state boxes its own copies of the key values, so the input's
+	// The group state holds its own copies of the values, so the input's
 	// storage is no longer referenced and can recycle.
 	b.Release(k.loc)
 	return nil, nil
 }
 
-// accumulateRow folds one boxed row into the group state — the interpreted
-// path, with the exact semantics of the pre-columnar HashAggregate loop.
-func (k *aggKernel) accumulateRow(r Row) error {
-	a := k.op
-	key := make(Row, len(a.groupCols))
-	sig := ""
-	for i, g := range a.groupCols {
-		if g >= len(r) {
-			return fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, g)
-		}
-		key[i] = r[g]
-		sig += fmt.Sprintf("%v|", r[g])
-	}
-	st, ok := k.groups[sig]
-	if !ok {
-		st = newAggState(key, len(a.aggs))
-		k.groups[sig] = st
-		k.order = append(k.order, sig)
-	}
-	for i, spec := range a.aggs {
-		if spec.Kind == AggCount {
-			st.counts[i]++
-			continue
-		}
-		if spec.Col >= len(r) {
-			return fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
-		}
-		v := r[spec.Col]
-		f, okf := toFloat(v)
-		if !okf && (spec.Kind == AggSum || spec.Kind == AggAvg) {
-			return fmt.Errorf("engine: aggregate %s over non-numeric %T", a.name, v)
-		}
-		st.sums[i] += f
-		st.counts[i]++
-		st.updateMinMax(i, v)
-	}
-	return nil
-}
-
 func (k *aggKernel) Flush() (*Batch, error) {
-	sort.Strings(k.order)
-	out := make([]Row, 0, len(k.order))
-	for _, sig := range k.order {
-		st := k.groups[sig]
-		r := append(Row{}, st.key...)
-		for i, spec := range k.op.aggs {
-			switch spec.Kind {
-			case AggSum:
-				r = append(r, st.sums[i])
-			case AggCount:
-				r = append(r, st.counts[i])
-			case AggAvg:
-				if st.counts[i] == 0 {
-					r = append(r, 0.0)
-				} else {
-					r = append(r, st.sums[i]/float64(st.counts[i]))
-				}
-			case AggMin:
-				r = append(r, st.mins[i])
-			case AggMax:
-				r = append(r, st.maxs[i])
-			default:
-				return nil, fmt.Errorf("engine: unknown aggregate kind %d", int(spec.Kind))
-			}
-		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
+	if len(k.sigs) == 0 {
 		return nil, nil
 	}
-	return rowsOrBatch(k.op.schema, out), nil
+	order := make([]int32, len(k.sigs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return k.sigs[order[i]] < k.sigs[order[j]] })
+	a := k.op
+	cols := make([]Vector, len(a.schema))
+	for gi := range a.groupCols {
+		cols[gi] = k.keys[gi].gather(order)
+	}
+	for si, spec := range a.aggs {
+		c := &cols[len(a.groupCols)+si]
+		switch spec.Kind {
+		case AggCount:
+			c.Type, c.Ints = TypeInt, make([]int64, len(order))
+			for i, g := range order {
+				c.Ints[i] = k.count[g]
+			}
+		case AggSum, AggAvg:
+			c.Type, c.Floats = TypeFloat, make([]float64, len(order))
+			for i, g := range order {
+				c.Floats[i] = k.sums[si][g]
+				if spec.Kind == AggAvg {
+					c.Floats[i] /= float64(k.count[g])
+				}
+			}
+		default:
+			*c = k.ext[si].gather(order)
+		}
+	}
+	return &Batch{Schema: a.schema, Cols: cols, nrows: len(order)}, nil
 }
 
 // limitKernel passes through the first remaining rows of the stream — a

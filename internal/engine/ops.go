@@ -6,7 +6,8 @@ import (
 )
 
 // Operator is a physical operator of the engine. Every operator produces a
-// partitioned result with one partition per cluster node.
+// partitioned result with one partition per cluster node, one typed columnar
+// batch per partition.
 //
 // Narrow (partition-wise) operators read only partition p of each input to
 // produce output partition p; wide operators (exchange, broadcast-join build
@@ -19,35 +20,45 @@ type Operator interface {
 	Name() string
 	// Inputs returns the producer operators.
 	Inputs() []Operator
-	// OutSchema describes the output rows.
+	// OutSchema describes the output columns. Every batch the operator
+	// produces has exactly these column types.
 	OutSchema() Schema
 	// Materialize reports whether the output is persisted to the
 	// fault-tolerant store (the engine-level m(o) flag).
 	Materialize() bool
-	// Wide reports whether Compute reads all partitions of its inputs.
+	// Wide reports whether ComputeBatch reads all partitions of its inputs.
 	Wide() bool
-	// Compute produces output partition part from the inputs' results.
-	Compute(part int, inputs []*PartitionedResult) ([]Row, error)
+	// ComputeBatch produces output partition part from the inputs' results
+	// (nil = empty partition). Input batches are shared, committed results:
+	// ComputeBatch must only read them.
+	ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
+	// Err reports a construction error — an expression that does not
+	// compile, an out-of-range column. Executors check every operator
+	// before running a plan, so such a query fails up front.
+	Err() error
 }
 
-// PartitionedResult is an operator's output: one slice of rows per node.
-type PartitionedResult struct {
+// BatchResult is an operator's output: one batch per node partition (nil =
+// empty).
+type BatchResult struct {
 	Schema Schema
-	Parts  [][]Row
+	Parts  []*Batch
 	// Lost[i] marks partition i as destroyed by a node failure (volatile
 	// intermediates only; materialized results never get lost).
 	Lost []bool
 }
 
-func newResult(schema Schema, parts int) *PartitionedResult {
-	return &PartitionedResult{Schema: schema, Parts: make([][]Row, parts), Lost: make([]bool, parts)}
+// NewBatchResult creates an empty batch result with the given partition
+// count.
+func NewBatchResult(schema Schema, parts int) *BatchResult {
+	return &BatchResult{Schema: schema, Parts: make([]*Batch, parts), Lost: make([]bool, parts)}
 }
 
-// AllRows flattens the result (for tests and sinks).
-func (r *PartitionedResult) AllRows() []Row {
+// AllRows flattens the result to boxed rows in partition order (sinks, tests).
+func (r *BatchResult) AllRows() []Row {
 	var out []Row
-	for _, p := range r.Parts {
-		out = append(out, p...)
+	for _, b := range r.Parts {
+		out = b.AppendRows(out)
 	}
 	return out
 }
@@ -58,6 +69,9 @@ type base struct {
 	mat    bool
 	inputs []Operator
 	schema Schema
+	// err is a construction error (an expression that does not compile, an
+	// out-of-range column); the operator reports it when it runs.
+	err error
 }
 
 func (b *base) Name() string       { return b.name }
@@ -69,32 +83,36 @@ func (b *base) Materialize() bool  { return b.mat }
 // a materialization configuration to an executable query.
 func (b *base) SetMaterialize(m bool) { b.mat = m }
 
+// Err implements Operator.
+func (b *base) Err() error {
+	if b.err == nil {
+		return nil
+	}
+	return fmt.Errorf("engine: %s: %w", b.name, b.err)
+}
+
 // Scan reads a base table partition-wise, optionally filtering and
 // projecting. Base tables are never lost (they live in the partitioned
 // database, which is recovered by the DBMS itself), so Scan has no inputs.
 type Scan struct {
 	base
 	table   *Table
-	filter  Expr // optional
-	cpred   *CompiledPredicate
+	cpred   *CompiledPredicate // nil = no filter
 	project []int
 	once    bool
 }
 
 // NewScan creates a scan over the named table. project selects column
 // indexes (nil keeps all); filter drops rows when non-truthy (nil keeps all).
-// The filter is compiled against the table schema at construction; scans over
-// columnar partitions evaluate it without boxing rows.
+// The filter is compiled against the table schema at construction.
 func NewScan(name string, t *Table, filter Expr, project []int) *Scan {
 	schema := t.Schema
 	if project != nil {
 		schema = projectSchema(t.Schema, project)
 	}
-	s := &Scan{base: base{name: name, schema: schema}, table: t, filter: filter, project: project}
+	s := &Scan{base: base{name: name, schema: schema}, table: t, project: project}
 	if filter != nil {
-		if cp, err := CompilePredicate(filter, t.Schema); err == nil {
-			s.cpred = cp
-		}
+		s.cpred, s.err = CompilePredicate(filter, t.Schema)
 	}
 	return s
 }
@@ -112,116 +130,77 @@ func NewScanOnce(name string, t *Table, filter Expr, project []int) *Scan {
 // Wide implements Operator.
 func (s *Scan) Wide() bool { return false }
 
-// Compiled reports whether the scan's filter evaluates through a compiled
-// predicate (true when there is no filter: nothing runs interpreted).
-func (s *Scan) Compiled() bool { return s.filter == nil || s.cpred != nil }
-
-// Compute implements Operator (the row face of ComputeBatch).
-func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
-	b, err := s.ComputeBatch(part, nil)
-	if err != nil || b == nil {
+// ComputeBatch implements Operator (base tables have no producer inputs):
+// the compiled predicate narrows a selection vector over the table's
+// partition and a zero-copy column projection follows.
+func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return b.ToRows(), nil
-}
-
-// ComputeBatch implements BatchOperator, producing one partition natively as
-// a batch (the inputs argument is unused: base tables have no producers).
-// Columnar table partitions flow through the compiled predicate (a
-// selection-vector filter, no row boxing) and a zero-copy column projection;
-// tables without a columnar representation — or filters that did not
-// compile — run the interpreted row loop and return a raw batch.
-func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
 	if part < 0 || part >= len(s.table.Parts) {
 		return nil, fmt.Errorf("engine: scan %s partition %d out of range", s.name, part)
 	}
 	if s.once && part != 0 {
 		return nil, nil
 	}
-	if cb := s.table.colPart(part); cb != nil && (s.filter == nil || s.cpred != nil) {
-		b := cb
-		if s.cpred != nil {
-			sel, err := s.cpred.Filter(b)
-			if err != nil {
-				return nil, err
-			}
-			b = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}
+	b := s.table.Parts[part]
+	if s.cpred != nil {
+		sel, err := s.cpred.Filter(b)
+		if err != nil {
+			return nil, err
 		}
-		return b.Project(s.project, s.schema), nil
+		b = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}
 	}
-	var out []Row
-	for _, r := range s.table.Parts[part] {
-		if s.filter != nil {
-			ok, err := truthy(s.filter, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, projectRow(r, s.project))
-	}
-	return RawBatch(s.schema, out), nil
+	return b.Project(s.project, s.schema), nil
 }
 
 // Select filters rows partition-wise.
 type Select struct {
 	base
-	pred  Expr
 	cpred *CompiledPredicate
 }
 
 // NewSelect creates a filter operator. The predicate is compiled against the
-// input schema at construction; predicates the compiler cannot handle keep
-// the interpreted path.
+// input schema at construction.
 func NewSelect(name string, in Operator, pred Expr) *Select {
-	s := &Select{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, pred: pred}
-	if pred != nil {
-		if cp, err := CompilePredicate(pred, in.OutSchema()); err == nil {
-			s.cpred = cp
-		}
-	}
+	s := &Select{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}}
+	s.cpred, s.err = CompilePredicate(pred, in.OutSchema())
 	return s
 }
 
 // Wide implements Operator.
 func (s *Select) Wide() bool { return false }
 
-// Compiled reports whether the predicate evaluates through its compiled form.
-func (s *Select) Compiled() bool { return s.cpred != nil }
-
-// Compute implements Operator via the shared filter kernel.
-func (s *Select) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	k := &filterKernel{op: s}
-	return kernelRows(k, s.inputs[0].OutSchema(), inputs[0].Parts[part])
+// ComputeBatch implements Operator via the shared filter kernel.
+func (s *Select) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	return kernelBatches(&filterKernel{op: s}, s.schema, inputs[0].Parts[part])
 }
 
 // Project evaluates expressions partition-wise.
 type Project struct {
 	base
-	exprs  []Expr
 	cexprs []*CompiledExpr
 }
 
-// NewProject creates a projection; outSchema names the produced columns. The
-// expressions are compiled against the input schema at construction; the
-// compiled forms are used only when every expression compiles and its static
-// result type matches the declared output column type (otherwise the
-// interpreted path keeps the exact dynamic value types).
+// NewProject creates a projection; outSchema names the produced columns.
+// The expressions are compiled against the input schema at construction,
+// and each output column takes its type from its compiled expression.
 func NewProject(name string, in Operator, exprs []Expr, outSchema Schema) *Project {
-	p := &Project{base: base{name: name, inputs: []Operator{in}, schema: outSchema}, exprs: exprs}
-	if len(exprs) == len(outSchema) {
-		cexprs := make([]*CompiledExpr, len(exprs))
-		for i, e := range exprs {
-			ce, err := Compile(e, in.OutSchema())
-			if err != nil || ce.Type != outSchema[i].Type {
-				cexprs = nil
-				break
-			}
-			cexprs[i] = ce
+	schema := append(Schema(nil), outSchema...)
+	p := &Project{base: base{name: name, inputs: []Operator{in}, schema: schema}}
+	if len(exprs) != len(outSchema) {
+		p.err = fmt.Errorf("%d expressions for %d output columns", len(exprs), len(outSchema))
+		return p
+	}
+	p.cexprs = make([]*CompiledExpr, len(exprs))
+	for i, e := range exprs {
+		ce, err := Compile(e, in.OutSchema())
+		if err != nil {
+			p.err = err
+			return p
 		}
-		p.cexprs = cexprs
+		p.cexprs[i] = ce
+		schema[i].Type = ce.Type
 	}
 	return p
 }
@@ -229,14 +208,9 @@ func NewProject(name string, in Operator, exprs []Expr, outSchema Schema) *Proje
 // Wide implements Operator.
 func (p *Project) Wide() bool { return false }
 
-// Compiled reports whether every projection expression evaluates through its
-// compiled form.
-func (p *Project) Compiled() bool { return p.cexprs != nil }
-
-// Compute implements Operator via the shared projection kernel.
-func (p *Project) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	k := &projectKernel{op: p}
-	return kernelRows(k, p.inputs[0].OutSchema(), inputs[0].Parts[part])
+// ComputeBatch implements Operator via the shared projection kernel.
+func (p *Project) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	return kernelBatches(&projectKernel{op: p}, p.schema, inputs[0].Parts[part])
 }
 
 // Exchange hash-repartitions its input on a key column — the engine's
@@ -249,27 +223,48 @@ type Exchange struct {
 
 // NewExchange creates a shuffle on the given key column.
 func NewExchange(name string, in Operator, keyCol int) *Exchange {
-	return &Exchange{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, keyCol: keyCol}
+	e := &Exchange{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, keyCol: keyCol}
+	if keyCol < 0 || keyCol >= len(e.schema) {
+		e.err = fmt.Errorf("key column %d out of range", keyCol)
+	}
+	return e
 }
 
 // Wide implements Operator.
 func (e *Exchange) Wide() bool { return true }
 
-// Compute implements Operator.
-func (e *Exchange) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	n := uint64(len(inputs[0].Parts))
-	var out []Row
-	for _, p := range inputs[0].Parts {
-		for _, r := range p {
-			if e.keyCol >= len(r) {
-				return nil, fmt.Errorf("engine: exchange %s key column %d out of range", e.name, e.keyCol)
+// ComputeBatch implements Operator: the vectorized repartitioning. Each
+// input batch is hashed column-wise on the key (with hashVectorAt, the hash
+// tables are partitioned by), the positions belonging to this output
+// partition are collected into a selection vector, and one column-wise
+// gather appends them to the output builder.
+func (e *Exchange) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	if err := e.Err(); err != nil {
+		return nil, err
+	}
+	in := inputs[0]
+	n := uint64(len(in.Parts))
+	bb := NewBatchBuilder(e.schema)
+	var sel []int32 // scatter scratch, reused across input partitions
+	for _, b := range in.Parts {
+		if b.Len() == 0 {
+			continue
+		}
+		key := &b.Cols[e.keyCol]
+		m := b.Len()
+		sel = sel[:0]
+		for i := 0; i < m; i++ {
+			p := i
+			if b.Sel != nil {
+				p = int(b.Sel[i])
 			}
-			if int(hashValue(r[e.keyCol])%n) == part {
-				out = append(out, r)
+			if int(hashVectorAt(key, p)%n) == part {
+				sel = append(sel, int32(p))
 			}
 		}
+		bb.AppendSel(b, sel)
 	}
-	return out, nil
+	return bb.Finish(), nil
 }
 
 // HashJoin joins a broadcast build side with a partition-wise probe side.
@@ -284,10 +279,17 @@ type HashJoin struct {
 // NewHashJoin creates a broadcast hash join.
 func NewHashJoin(name string, build, probe Operator, buildKey, probeKey int) *HashJoin {
 	schema := append(append(Schema{}, probe.OutSchema()...), build.OutSchema()...)
-	return &HashJoin{
+	j := &HashJoin{
 		base:     base{name: name, inputs: []Operator{build, probe}, schema: schema},
 		buildKey: buildKey, probeKey: probeKey,
 	}
+	switch {
+	case buildKey < 0 || buildKey >= len(build.OutSchema()):
+		j.err = fmt.Errorf("build key %d out of range", buildKey)
+	case probeKey < 0 || probeKey >= len(probe.OutSchema()):
+		j.err = fmt.Errorf("probe key %d out of range", probeKey)
+	}
+	return j
 }
 
 // Wide implements Operator. The build side is read in full; recovery of any
@@ -295,39 +297,70 @@ func NewHashJoin(name string, build, probe Operator, buildKey, probeKey int) *Ha
 // the engine conservatively treats the operator as wide).
 func (j *HashJoin) Wide() bool { return true }
 
-// Compute implements Operator.
-func (j *HashJoin) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	build, probe := inputs[0], inputs[1]
-	ht := make(map[uint64][]Row)
-	for _, p := range build.Parts {
-		for _, r := range p {
-			if j.buildKey >= len(r) {
-				return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
-			}
-			h := hashValue(r[j.buildKey])
-			ht[h] = append(ht[h], r)
-		}
+// ComputeBatch implements Operator: the vectorized broadcast hash join. The
+// build side is concatenated into one dense columnar batch per output
+// partition and indexed once (hash → dense row positions, in (partition,
+// row) insertion order); the probe then scans its partition emitting a
+// matching (probe position, build position) selection-vector pair, and a
+// single column-wise gather materializes the output vectors — probe columns
+// followed by build columns, rows in probe order with in-bucket build order.
+// Hash collisions are resolved with a typed key comparison.
+func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	if err := j.Err(); err != nil {
+		return nil, err
 	}
-	var out []Row
-	for _, r := range probe.Parts[part] {
-		if j.probeKey >= len(r) {
-			return nil, fmt.Errorf("engine: join %s probe key out of range", j.name)
+	probeB := inputs[1].Parts[part]
+	if probeB.Len() == 0 {
+		return nil, nil
+	}
+	bb := NewBatchBuilder(j.inputs[0].OutSchema())
+	for _, b := range inputs[0].Parts {
+		bb.Append(b)
+	}
+	dense := bb.Finish()
+	if dense == nil {
+		return nil, nil
+	}
+	buildKeyVec := &dense.Cols[j.buildKey]
+	nb := dense.Len()
+	ht := make(map[uint64][]int32, nb)
+	for i := 0; i < nb; i++ {
+		h := hashVectorAt(buildKeyVec, i)
+		ht[h] = append(ht[h], int32(i))
+	}
+
+	probeKeyVec := &probeB.Cols[j.probeKey]
+	var probeSel, buildSel []int32
+	np := probeB.Len()
+	for i := 0; i < np; i++ {
+		p := i
+		if probeB.Sel != nil {
+			p = int(probeB.Sel[i])
 		}
-		for _, b := range ht[hashValue(r[j.probeKey])] {
-			cmp, err := compareValues(r[j.probeKey], b[j.buildKey])
+		for _, bi := range ht[hashVectorAt(probeKeyVec, p)] {
+			cmp, err := compareVecVals(probeKeyVec, p, buildKeyVec, int(bi))
 			if err != nil {
 				return nil, err
 			}
 			if cmp != 0 {
 				continue // hash collision
 			}
-			nr := make(Row, 0, len(r)+len(b))
-			nr = append(nr, r...)
-			nr = append(nr, b...)
-			out = append(out, nr)
+			probeSel = append(probeSel, int32(p))
+			buildSel = append(buildSel, bi)
 		}
 	}
-	return out, nil
+	if len(probeSel) == 0 {
+		return nil, nil
+	}
+
+	cols := make([]Vector, len(probeB.Cols)+len(dense.Cols))
+	for ci := range probeB.Cols {
+		cols[ci] = probeB.Cols[ci].gather(probeSel)
+	}
+	for ci := range dense.Cols {
+		cols[len(probeB.Cols)+ci] = dense.Cols[ci].gather(buildSel)
+	}
+	return &Batch{Schema: j.schema, Cols: cols, nrows: len(probeSel)}, nil
 }
 
 // AggKind enumerates aggregate functions.
@@ -359,69 +392,69 @@ type HashAggregate struct {
 	global    bool
 }
 
-// NewHashAggregate creates an aggregation. outSchema must have
-// len(groupCols)+len(aggs) columns.
+// NewHashAggregate creates an aggregation. outSchema names the
+// len(groupCols)+len(aggs) output columns; their types follow from the
+// grouped input columns and the aggregate kinds (COUNT is int, SUM and AVG
+// are float, MIN and MAX keep their input column's type).
 func NewHashAggregate(name string, in Operator, groupCols []int, aggs []AggSpec, global bool, outSchema Schema) *HashAggregate {
-	return &HashAggregate{
-		base:      base{name: name, inputs: []Operator{in}, schema: outSchema},
+	schema := append(Schema(nil), outSchema...)
+	a := &HashAggregate{
+		base:      base{name: name, inputs: []Operator{in}, schema: schema},
 		groupCols: groupCols, aggs: aggs, global: global,
 	}
+	inS := in.OutSchema()
+	if len(schema) != len(groupCols)+len(aggs) {
+		a.err = fmt.Errorf("%d output columns for %d groups and %d aggregates", len(schema), len(groupCols), len(aggs))
+		return a
+	}
+	for i, g := range groupCols {
+		if g < 0 || g >= len(inS) {
+			a.err = fmt.Errorf("group column %d out of range", g)
+			return a
+		}
+		schema[i].Type = inS[g].Type
+	}
+	for i, spec := range aggs {
+		t := TypeInt // AggCount
+		if spec.Kind != AggCount {
+			if spec.Col < 0 || spec.Col >= len(inS) {
+				a.err = fmt.Errorf("aggregate column %d out of range", spec.Col)
+				return a
+			}
+			t = inS[spec.Col].Type
+		}
+		switch spec.Kind {
+		case AggSum, AggAvg:
+			if t == TypeString {
+				a.err = fmt.Errorf("aggregate over non-numeric string")
+				return a
+			}
+			t = TypeFloat
+		case AggCount, AggMin, AggMax:
+		default:
+			a.err = fmt.Errorf("unknown aggregate kind %d", int(spec.Kind))
+			return a
+		}
+		schema[len(groupCols)+i].Type = t
+	}
+	return a
 }
 
 // Wide implements Operator.
 func (a *HashAggregate) Wide() bool { return a.global }
 
-// aggState is the accumulator of one group, shared by the columnar and
-// interpreted paths of the aggregation kernel.
-type aggState struct {
-	key    Row
-	sums   []float64
-	counts []int64
-	mins   []Value
-	maxs   []Value
-}
-
-func newAggState(key Row, naggs int) *aggState {
-	return &aggState{
-		key:    key,
-		sums:   make([]float64, naggs),
-		counts: make([]int64, naggs),
-		mins:   make([]Value, naggs),
-		maxs:   make([]Value, naggs),
-	}
-}
-
-// updateMinMax folds v into the min/max accumulators of aggregate i
-// (comparison errors leave the accumulators unchanged, as the interpreted
-// loop always did).
-func (st *aggState) updateMinMax(i int, v Value) {
-	if st.mins[i] == nil {
-		st.mins[i] = v
-		st.maxs[i] = v
-		return
-	}
-	if c, err := compareValues(v, st.mins[i]); err == nil && c < 0 {
-		st.mins[i] = v
-	}
-	if c, err := compareValues(v, st.maxs[i]); err == nil && c > 0 {
-		st.maxs[i] = v
-	}
-}
-
-// Compute implements Operator via the shared aggregation kernel: global
-// aggregation gathers every input partition into partition 0, partition-wise
+// ComputeBatch implements Operator via the shared aggregation kernel. The
+// global form is the final-aggregation merge — every input partition's
+// batch folds into one accumulator table in partition 0; partition-wise
 // aggregation folds just its own partition.
-func (a *HashAggregate) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	var src [][]Row
-	if a.global {
-		if part != 0 {
-			return nil, nil
-		}
-		src = inputs[0].Parts
-	} else {
-		src = [][]Row{inputs[0].Parts[part]}
+func (a *HashAggregate) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	if !a.global {
+		return kernelBatches(newAggKernel(a, nil), a.schema, inputs[0].Parts[part])
 	}
-	return kernelRows(newAggKernel(a), a.inputs[0].OutSchema(), src...)
+	if part != 0 {
+		return nil, nil
+	}
+	return kernelBatches(newAggKernel(a, nil), a.schema, inputs[0].Parts...)
 }
 
 // Sort orders rows globally by a column (gathers into partition 0).
@@ -433,54 +466,92 @@ type Sort struct {
 
 // NewSort creates a global sort.
 func NewSort(name string, in Operator, col int, desc bool) *Sort {
-	return &Sort{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, col: col, desc: desc}
+	s := &Sort{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, col: col, desc: desc}
+	if col < 0 || col >= len(s.schema) {
+		s.err = fmt.Errorf("sort column %d out of range", col)
+	}
+	return s
 }
 
 // Wide implements Operator.
 func (s *Sort) Wide() bool { return true }
 
-// Compute implements Operator.
-func (s *Sort) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
+// ComputeBatch implements Operator: a global sort as one stable index sort
+// over the dense concatenation of all input partitions (in partition order),
+// followed by a column-wise gather in sorted order. Numeric keys compare
+// through float64.
+func (s *Sort) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
 	if part != 0 {
 		return nil, nil
 	}
-	var all []Row
-	for _, p := range inputs[0].Parts {
-		all = append(all, p...)
+	bb := NewBatchBuilder(s.schema)
+	for _, b := range inputs[0].Parts {
+		bb.Append(b)
 	}
-	var sortErr error
-	sort.SliceStable(all, func(i, j int) bool {
-		c, err := compareValues(all[i][s.col], all[j][s.col])
-		if err != nil {
-			sortErr = err
-			return false
-		}
+	dense := bb.Finish()
+	if dense == nil {
+		return nil, nil
+	}
+	n := dense.Len()
+	col := &dense.Cols[s.col]
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(i, j int) bool {
+		c, _ := compareVecVals(col, int(idx[i]), col, int(idx[j])) // one column: never fails
 		if s.desc {
 			return c > 0
 		}
 		return c < 0
 	})
-	if sortErr != nil {
-		return nil, sortErr
+	cols := make([]Vector, len(dense.Cols))
+	for ci := range dense.Cols {
+		cols[ci] = dense.Cols[ci].gather(idx)
 	}
-	return all, nil
+	return &Batch{Schema: s.schema, Cols: cols, nrows: n}, nil
+}
+
+// compareVecVals compares typed vector elements: numeric types compare
+// through float64 (including int64 values, whose coercion can lose
+// precision above 2^53), strings compare lexicographically, and mixed
+// numeric/string comparisons fail.
+func compareVecVals(a *Vector, i int, b *Vector, j int) (int, error) {
+	if a.Type != TypeString {
+		if b.Type == TypeString {
+			return 0, fmt.Errorf("engine: cannot compare %s with %s", goTypeName(a.Type), goTypeName(b.Type))
+		}
+		fa, fb := numAt(a, i), numAt(b, j)
+		switch {
+		case fa < fb:
+			return -1, nil
+		case fa > fb:
+			return 1, nil
+		default:
+			return 0, nil
+		}
+	}
+	if b.Type != TypeString {
+		return 0, fmt.Errorf("engine: cannot compare string with %s", goTypeName(b.Type))
+	}
+	sa, sb := a.Strings[i], b.Strings[j]
+	switch {
+	case sa < sb:
+		return -1, nil
+	case sa > sb:
+		return 1, nil
+	default:
+		return 0, nil
+	}
 }
 
 func projectSchema(s Schema, cols []int) Schema {
 	out := make(Schema, len(cols))
 	for i, c := range cols {
 		out[i] = s[c]
-	}
-	return out
-}
-
-func projectRow(r Row, cols []int) Row {
-	if cols == nil {
-		return r
-	}
-	out := make(Row, len(cols))
-	for i, c := range cols {
-		out[i] = r[c]
 	}
 	return out
 }

@@ -147,8 +147,8 @@ func TestDiskStoreMidWriteKill(t *testing.T) {
 
 	// (b) A torn file at the final path (what a non-atomic writer would
 	// leave): Get must report a miss so the engine recomputes.
-	tornPath := filepath.Join(dir, "join.part1.gob")
-	if err := os.WriteFile(tornPath, []byte("not a gob stream"), 0o644); err != nil {
+	tornPath := filepath.Join(dir, "join.part1.ftcb")
+	if err := os.WriteFile(tornPath, []byte("not a column block"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d2.Get("join", 1); ok {

@@ -5,93 +5,45 @@ import (
 )
 
 // Table is a horizontally partitioned base relation. Partition i is hosted
-// on node i (one partition per node, like the paper's setup).
+// on node i (one partition per node, like the paper's setup). Types are
+// fixed at construction: every partition is a typed columnar batch of the
+// table's schema.
 type Table struct {
 	Name   string
 	Schema Schema
-	Parts  [][]Row
-	// ColParts is the columnar twin of Parts: one typed batch per partition
-	// holding the same rows in the same order, or nil when the table's
-	// values are not strictly typed. Scans execute against ColParts when
-	// present; Parts remains the row-oriented view for adapters and tests.
-	ColParts []*Batch
+	// Parts holds one batch per partition (never nil).
+	Parts []*Batch
 	// Replicated marks tables whose every partition holds a full copy (the
 	// paper replicates NATION and REGION); scans over them must read a
 	// single partition to avoid duplicating rows.
 	Replicated bool
 }
 
-// colPart returns the columnar form of partition p, or nil.
-func (t *Table) colPart(p int) *Batch {
-	if t.ColParts == nil || p >= len(t.ColParts) {
-		return nil
-	}
-	return t.ColParts[p]
-}
-
-// buildColParts derives the columnar twin of t.Parts; partitions whose rows
-// are not strictly typed stay row-only.
-func (t *Table) buildColParts() {
-	cps := make([]*Batch, len(t.Parts))
-	any := false
-	for p, rows := range t.Parts {
-		if b, err := RowsToBatch(t.Schema, rows); err == nil {
-			cps[p] = b
-			any = true
-		}
-	}
-	if any {
-		t.ColParts = cps
-	}
-}
-
 // NewTable partitions rows across `parts` partitions by hashing the key
-// column (round-robin when keyCol < 0).
+// column (round-robin when keyCol < 0). Plain int values are stored as
+// int64; any other value that does not match its column type is an error.
 func NewTable(name string, schema Schema, rows []Row, parts int, keyCol int) (*Table, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
+	cols, err := rowsToColumns(schema, rows, true)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %v", name, err)
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts)}
-	for i, r := range rows {
-		if len(r) != len(schema) {
-			return nil, fmt.Errorf("engine: table %s row %d has %d values, schema has %d", name, i, len(r), len(schema))
-		}
-		var p int
-		if keyCol >= 0 {
-			if keyCol >= len(r) {
-				return nil, fmt.Errorf("engine: table %s key column %d out of range", name, keyCol)
-			}
-			p = int(hashValue(r[keyCol]) % uint64(parts))
-		} else {
-			p = i % parts
-		}
-		t.Parts[p] = append(t.Parts[p], r)
-	}
-	t.buildColParts()
-	return t, nil
+	return NewTableFromColumns(name, schema, cols, parts, keyCol)
 }
 
 // NewReplicatedTable replicates all rows to every partition (the paper
-// replicates the small NATION and REGION tables to all cluster nodes).
+// replicates the small NATION and REGION tables to all cluster nodes), with
+// NewTable's typing rules.
 func NewReplicatedTable(name string, schema Schema, rows []Row, parts int) (*Table, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
+	cols, err := rowsToColumns(schema, rows, true)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %v", name, err)
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), Replicated: true}
-	for p := 0; p < parts; p++ {
-		cp := make([]Row, len(rows))
-		copy(cp, rows)
-		t.Parts[p] = cp
-	}
-	t.buildColParts()
-	return t, nil
+	return NewReplicatedTableFromColumns(name, schema, cols, parts)
 }
 
 // NewTableFromColumns builds a table directly from typed column vectors,
 // hash-partitioning column-wise on keyCol (round-robin when keyCol < 0)
-// without boxing any value. The placement matches NewTable exactly; the
-// row-oriented Parts view is derived from the columnar partitions as the
-// compatibility adapter.
+// without boxing any value.
 func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, keyCol int) (*Table, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
@@ -131,14 +83,13 @@ func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, k
 			}
 		}
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), ColParts: make([]*Batch, parts)}
+	t := &Table{Name: name, Schema: schema, Parts: make([]*Batch, parts)}
 	for p := 0; p < parts; p++ {
 		b, err := NewBatchFromCols(schema, partCols[p])
 		if err != nil {
 			return nil, fmt.Errorf("engine: table %s: %v", name, err)
 		}
-		t.ColParts[p] = b
-		t.Parts[p] = b.ToRows()
+		t.Parts[p] = b
 	}
 	return t, nil
 }
@@ -153,13 +104,9 @@ func NewReplicatedTableFromColumns(name string, schema Schema, cols []Vector, pa
 	if err != nil {
 		return nil, fmt.Errorf("engine: table %s: %v", name, err)
 	}
-	rows := b.ToRows()
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), ColParts: make([]*Batch, parts), Replicated: true}
-	for p := 0; p < parts; p++ {
-		cp := make([]Row, len(rows))
-		copy(cp, rows)
-		t.Parts[p] = cp
-		t.ColParts[p] = b
+	t := &Table{Name: name, Schema: schema, Parts: make([]*Batch, parts), Replicated: true}
+	for p := range t.Parts {
+		t.Parts[p] = b
 	}
 	return t, nil
 }
@@ -168,7 +115,7 @@ func NewReplicatedTableFromColumns(name string, schema Schema, cols []Vector, pa
 func (t *Table) Rows() int {
 	n := 0
 	for _, p := range t.Parts {
-		n += len(p)
+		n += p.Len()
 	}
 	return n
 }
@@ -177,7 +124,7 @@ func (t *Table) Rows() int {
 // one copy, partitioned tables count all partitions.
 func (t *Table) LogicalRows() int {
 	if t.Replicated && len(t.Parts) > 0 {
-		return len(t.Parts[0])
+		return t.Parts[0].Len()
 	}
 	return t.Rows()
 }

@@ -9,41 +9,36 @@ import (
 )
 
 // WriteTBL serializes a table in dbgen's .tbl format: one row per line,
-// '|'-separated values with a trailing '|'. Replicated tables emit each row
-// once.
+// '|'-separated values with a trailing '|', read straight from the table's
+// columns. Replicated tables emit each row once.
 func WriteTBL(t *Table, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	parts := t.Parts
 	if t.Replicated {
 		parts = t.Parts[:1]
 	}
-	for _, p := range parts {
-		for _, r := range p {
-			for i, v := range r {
-				if i > 0 {
-					if err := bw.WriteByte('|'); err != nil {
-						return err
-					}
+	var line []byte
+	for _, b := range parts {
+		for i := 0; i < b.Len(); i++ {
+			line = line[:0]
+			for c := range b.Cols {
+				if c > 0 {
+					line = append(line, '|')
 				}
-				var s string
-				switch x := v.(type) {
-				case int64:
-					s = strconv.FormatInt(x, 10)
-				case float64:
-					s = strconv.FormatFloat(x, 'g', -1, 64)
-				case string:
-					if strings.ContainsAny(x, "|\n") {
-						return fmt.Errorf("engine: string value %q cannot be written to .tbl", x)
-					}
-					s = x
+				switch v := &b.Cols[c]; v.Type {
+				case TypeInt:
+					line = strconv.AppendInt(line, v.Ints[i], 10)
+				case TypeFloat:
+					line = strconv.AppendFloat(line, v.Floats[i], 'g', -1, 64)
 				default:
-					return fmt.Errorf("engine: unsupported value type %T in .tbl", v)
-				}
-				if _, err := bw.WriteString(s); err != nil {
-					return err
+					if strings.ContainsAny(v.Strings[i], "|\n") {
+						return fmt.Errorf("engine: string value %q cannot be written to .tbl", v.Strings[i])
+					}
+					line = append(line, v.Strings[i]...)
 				}
 			}
-			if _, err := bw.WriteString("|\n"); err != nil {
+			line = append(line, "|\n"...)
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
@@ -57,7 +52,13 @@ func WriteTBL(t *Table, w io.Writer) error {
 func ReadTBL(name string, schema Schema, r io.Reader, parts, keyCol int, replicated bool) (*Table, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	var rows []Row
+	cols := make([]Vector, len(schema))
+	for i, c := range schema {
+		if c.Type != TypeInt && c.Type != TypeFloat && c.Type != TypeString {
+			return nil, fmt.Errorf("engine: %s.tbl: unsupported column type %v", name, c.Type)
+		}
+		cols[i].Type = c.Type
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -71,35 +72,32 @@ func ReadTBL(name string, schema Schema, r io.Reader, parts, keyCol int, replica
 			return nil, fmt.Errorf("engine: %s.tbl line %d has %d fields, schema needs %d",
 				name, lineNo, len(fields), len(schema))
 		}
-		row := make(Row, len(schema))
 		for i, c := range schema {
 			f := fields[i]
+			v := &cols[i]
 			switch c.Type {
 			case TypeInt:
-				v, err := strconv.ParseInt(f, 10, 64)
+				x, err := strconv.ParseInt(f, 10, 64)
 				if err != nil {
 					return nil, fmt.Errorf("engine: %s.tbl line %d col %s: %w", name, lineNo, c.Name, err)
 				}
-				row[i] = v
+				v.Ints = append(v.Ints, x)
 			case TypeFloat:
-				v, err := strconv.ParseFloat(f, 64)
+				x, err := strconv.ParseFloat(f, 64)
 				if err != nil {
 					return nil, fmt.Errorf("engine: %s.tbl line %d col %s: %w", name, lineNo, c.Name, err)
 				}
-				row[i] = v
-			case TypeString:
-				row[i] = f
+				v.Floats = append(v.Floats, x)
 			default:
-				return nil, fmt.Errorf("engine: %s.tbl: unsupported column type %v", name, c.Type)
+				v.Strings = append(v.Strings, f)
 			}
 		}
-		rows = append(rows, row)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if replicated {
-		return NewReplicatedTable(name, schema, rows, parts)
+		return NewReplicatedTableFromColumns(name, schema, cols, parts)
 	}
-	return NewTable(name, schema, rows, parts, keyCol)
+	return NewTableFromColumns(name, schema, cols, parts, keyCol)
 }

@@ -8,7 +8,7 @@
 // materialized intermediates (fine-grained) or restarting the query
 // (coarse-grained).
 //
-// The engine executes real rows and is used by correctness tests and
+// The engine executes real data and is used by correctness tests and
 // examples at small scale factors; the paper's large-scale experiments run
 // on the exec package's cost-level simulator instead.
 package engine
@@ -150,28 +150,10 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// hashValue produces a stable hash for repartitioning. The typed helpers
-// above are the ground truth; columnar partitioning uses them directly so
-// row and column paths place every value identically.
-func hashValue(v Value) uint64 {
-	switch x := v.(type) {
-	case int64:
-		return hashInt64(x)
-	case int:
-		return hashInt64(int64(x))
-	case float64:
-		// Hash the decimal representation to keep 1.0 == 1 semantics out of
-		// scope; partitioning keys are integers in practice.
-		return hashString(fmt.Sprintf("%g", x))
-	case string:
-		return hashString(x)
-	default:
-		return hashString(fmt.Sprintf("%v", x))
-	}
-}
-
-// hashVectorAt hashes element i of a typed column, matching hashValue on the
-// boxed equivalent.
+// hashVectorAt hashes element i of a typed column for repartitioning: FNV-1a
+// over the little-endian bytes of an int, over the bytes of a string, and
+// over the %g rendering of a float (partitioning keys are integers in
+// practice).
 func hashVectorAt(v *Vector, i int) uint64 {
 	switch v.Type {
 	case TypeInt:

@@ -64,26 +64,30 @@ func TestCompareValues(t *testing.T) {
 }
 
 func TestHashValueStability(t *testing.T) {
-	if hashValue(int64(42)) != hashValue(int64(42)) {
+	ints := Vector{Type: TypeInt, Ints: []int64{42, 42, 1, 2}}
+	if hashVectorAt(&ints, 0) != hashVectorAt(&ints, 1) {
 		t.Error("int hash not stable")
 	}
-	if hashValue("abc") != hashValue("abc") {
-		t.Error("string hash not stable")
-	}
-	if hashValue(int64(1)) == hashValue(int64(2)) {
+	if hashVectorAt(&ints, 2) == hashVectorAt(&ints, 3) {
 		t.Error("different ints should (almost surely) hash differently")
 	}
-	if hashValue(42) != hashValue(int64(42)) {
-		t.Error("int and int64 should hash alike")
+	strs := Vector{Type: TypeString, Strings: []string{"abc", "abc"}}
+	if hashVectorAt(&strs, 0) != hashVectorAt(&strs, 1) {
+		t.Error("string hash not stable")
 	}
-	// Floats and unknown types hash via their rendering; just require
-	// stability.
-	if hashValue(1.5) != hashValue(1.5) {
+	// Floats hash via their rendering; just require stability.
+	floats := Vector{Type: TypeFloat, Floats: []float64{1.5, 1.5}}
+	if hashVectorAt(&floats, 0) != hashVectorAt(&floats, 1) {
 		t.Error("float hash not stable")
 	}
-	type odd struct{ X int }
-	if hashValue(odd{1}) != hashValue(odd{1}) {
-		t.Error("fallback hash not stable")
+	// Tables store plain ints as int64, so both partition alike.
+	schema := Schema{{Name: "k", Type: TypeInt}}
+	a := mustTable(t, "a", schema, []Row{{42}}, 4, 0)
+	b := mustTable(t, "b", schema, []Row{{int64(42)}}, 4, 0)
+	for p := range a.Parts {
+		if a.Parts[p].Len() != b.Parts[p].Len() {
+			t.Errorf("partition %d: int holds %d rows, int64 holds %d", p, a.Parts[p].Len(), b.Parts[p].Len())
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func Figure10(c Config) (*Table, error) {
 		Header: []string{"SF", "Runtime w/o failure (min)"},
 		Notes: []string{
 			"expected shape: all schemes ~0% for short queries; restart explodes/aborts for long queries;",
-			"lineage degrades more gracefully but stays above cost-based; all-mat tracks cost-based within its ~34% materialization tax",
+			"lineage worsens more gracefully but stays above cost-based; all-mat tracks cost-based within its ~34% materialization tax",
 		},
 	}
 	for _, k := range schemes.All() {

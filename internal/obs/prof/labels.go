@@ -42,7 +42,7 @@ type Labels struct {
 }
 
 // enabled gates every labeling call site: when no sampler is running, Do and
-// Context degrade to a single atomic load so the hot path pays nothing.
+// Context reduce to a single atomic load so the hot path pays nothing.
 var enabled atomic.Bool
 
 // Enabled reports whether a sampler has switched labeling on.

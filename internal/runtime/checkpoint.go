@@ -21,14 +21,15 @@ type checkpointReq struct {
 	parts int
 }
 
-// encodedReq is one partition already serialized to block-file bytes, waiting
-// for the write stage. rows is the decoded fallback for stores that cannot
-// accept pre-encoded bytes.
+// encodedReq is one partition ready for the write stage: serialized to
+// block-file bytes for stores that accept them, boxed rows otherwise. size
+// is the encoded size either way.
 type encodedReq struct {
 	op    string
 	part  int
 	data  []byte
 	rows  []engine.Row
+	size  int64
 	nrows int
 	parts int
 }
@@ -43,15 +44,16 @@ type encodedReq struct {
 // land before reading the store.
 type checkpointWriter struct {
 	store    engine.Store
+	encoded  engine.EncodedStore // store's pre-encoded fast path, or nil
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	progress *obs.Progress
 	// pctx carries the query-level pprof labels; the encode and write stages
 	// re-apply them per request with the checkpointed operator on top, so
 	// asynchronous checkpoint CPU joins to the operator that caused it.
-	pctx  context.Context
-	queue chan checkpointReq
-	writeCh  chan encodedReq
+	pctx    context.Context
+	queue   chan checkpointReq
+	writeCh chan encodedReq
 	// stop unblocks enqueuers and terminates both stage goroutines once the
 	// writer is closed, so no caller can park forever on a full queue.
 	stop chan struct{}
@@ -68,8 +70,10 @@ type checkpointWriter struct {
 }
 
 func newCheckpointWriter(pctx context.Context, store engine.Store, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
+	encoded, _ := store.(engine.EncodedStore)
 	w := &checkpointWriter{
 		store:    store,
+		encoded:  encoded,
 		metrics:  metrics,
 		tracer:   tracer,
 		progress: progress,
@@ -111,24 +115,26 @@ func (w *checkpointWriter) encodeLoop() {
 	}
 }
 
-// encode serializes one partition and forwards it to the write stage; encode
-// failures settle the request immediately. The serialization CPU runs under
-// the checkpointed operator's label.
+// encode serializes one partition straight from its columns (or boxes its
+// rows for stores without the pre-encoded path) and forwards it to the write
+// stage; encode failures settle the request immediately. The serialization
+// CPU runs under the checkpointed operator's label.
 func (w *checkpointWriter) encode(req checkpointReq) {
-	var data []byte
-	var rows []engine.Row
+	er := encodedReq{op: req.op, part: req.part, nrows: req.b.Len(), parts: req.parts}
 	var err error
 	prof.Do(w.pctx, prof.Labels{Stage: req.op, Op: req.op}, func(context.Context) {
-		if req.b != nil {
-			rows = req.b.ToRows()
+		if w.encoded != nil {
+			er.data, err = engine.EncodeBatch(req.b)
+			er.size = int64(len(er.data))
+			return
 		}
-		data, err = engine.EncodeBlockBytes(rows)
+		er.rows = req.b.ToRows()
+		er.size = engine.EncodedSize(req.b)
 	})
 	if err != nil {
 		w.settle(fmt.Errorf("runtime: checkpoint %s/%d: %w", req.op, req.part, err))
 		return
 	}
-	er := encodedReq{op: req.op, part: req.part, data: data, rows: rows, nrows: req.b.Len(), parts: req.parts}
 	// The send blocks until the write stage frees its slot; stop is not
 	// selected because close() always drains pending requests before the
 	// stage goroutines exit, so the send cannot park forever.
@@ -155,8 +161,8 @@ func (w *checkpointWriter) writeLabeled(req encodedReq) {
 	sp := w.tracer.Begin(obs.KindCheckpoint, req.op, req.part, -1)
 	start := time.Now()
 	var err error
-	if es, ok := w.store.(engine.EncodedStore); ok {
-		err = es.PutEncoded(req.op, req.part, req.data, req.parts)
+	if w.encoded != nil {
+		err = w.encoded.PutEncoded(req.op, req.part, req.data, req.parts)
 	} else {
 		err = w.store.Put(req.op, req.part, req.rows, req.parts)
 	}
@@ -168,7 +174,7 @@ func (w *checkpointWriter) writeLabeled(req encodedReq) {
 	}
 	w.metrics.ObserveCheckpointWrite(metrics.RuntimePipelined, time.Since(start))
 	w.metrics.CheckpointParts.Add(1)
-	n := int64(len(req.data))
+	n := req.size
 	w.metrics.CheckpointBytes.Add(n)
 	w.progress.AddCheckpointBytesFor(req.op, n)
 	sp.SetBytes(n)

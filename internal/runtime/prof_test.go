@@ -25,12 +25,21 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := func() engine.Operator {
+	// Plans are built before the sampler starts: plan construction runs on
+	// the submitting goroutine outside Execute, so it carries no labels.
+	type tenantPlan struct {
+		query, tenant string
+		plan          engine.Operator
+	}
+	var plans []tenantPlan
+	for _, tc := range []struct{ query, tenant string }{
+		{"qA", "tenant-a"}, {"qB", "tenant-b"},
+	} {
 		op, err := tpch.EngineQ1(cat, 2500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return op
+		plans = append(plans, tenantPlan{tc.query, tc.tenant, op})
 	}
 
 	dir := t.TempDir()
@@ -44,11 +53,9 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 
 	deadline := time.Now().Add(1200 * time.Millisecond)
 	var wg sync.WaitGroup
-	for _, tc := range []struct{ query, tenant string }{
-		{"qA", "tenant-a"}, {"qB", "tenant-b"},
-	} {
+	for _, tp := range plans {
 		wg.Add(1)
-		go func(query, tenant string) {
+		go func(query, tenant string, plan engine.Operator) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				r, err := New(Config{
@@ -60,12 +67,12 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := r.Execute(context.Background(), q()); err != nil {
+				if _, _, err := r.Execute(context.Background(), plan); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(tc.query, tc.tenant)
+		}(tp.query, tp.tenant, tp.plan)
 	}
 	wg.Wait()
 	s.Stop()
@@ -93,6 +100,11 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 				if strings.HasPrefix(fn, "ftpde/internal/runtime.New") {
 					ours = false
 					break
+				}
+				// The test's own frames (its driver loop) are not engine or
+				// runtime work.
+				if strings.HasPrefix(fn, "ftpde/internal/runtime.Test") {
+					continue
 				}
 				if strings.HasPrefix(fn, "ftpde/internal/engine") ||
 					strings.HasPrefix(fn, "ftpde/internal/runtime") {

@@ -127,14 +127,14 @@ func New(cfg Config) (*Runtime, error) {
 func (r *Runtime) Metrics() *Metrics { return r.cfg.Metrics }
 
 // Execute runs the query rooted at root and returns its partitioned result
-// along with an execution report. The report type is shared with the staged
-// engine so recovery tests and tooling port across runtimes.
-func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.PartitionedResult, *engine.Report, error) {
-	// The scheduler goroutine does real work of its own (result
-	// materialization at the edge, flush barriers), so it runs labeled; the
-	// returned ctx carries the query-level labels every worker re-applies.
+// along with an execution report. The result and report types are shared
+// with the staged engine so recovery tests and tooling port across runtimes.
+func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.BatchResult, *engine.Report, error) {
+	// The scheduler goroutine does real work of its own (flush barriers),
+	// so it runs labeled; the returned ctx carries the query-level labels
+	// every worker re-applies.
 	var (
-		res *engine.PartitionedResult
+		res *engine.BatchResult
 		rep *engine.Report
 		err error
 	)
@@ -144,7 +144,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	return res, rep, err
 }
 
-func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*engine.PartitionedResult, *engine.Report, error) {
+func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*engine.BatchResult, *engine.Report, error) {
 	plan, err := buildStages(root, r.cfg.Nodes)
 	if err != nil {
 		return nil, nil, err
@@ -194,9 +194,7 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 			if ferr != nil {
 				return nil, report, ferr
 			}
-			// The public contract stays row-partitioned; the root result is
-			// materialized once, at the very edge.
-			return res.ToPartitioned(), report, nil
+			return res, report, nil
 		}
 		if nf, ok := asNodeFailure(err); ok && r.cfg.Recovery == schemes.CoarseRestart {
 			report.Failures++
@@ -376,8 +374,10 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		if err != nil {
 			return err
 		}
-		if rows, ok := rn.cfg.Store.Get(s.name(), part); ok {
-			rn.commit(s, part, engine.BatchFromRows(s.terminal().OutSchema(), rows), true)
+		if b, ok, err := engine.GetBatch(rn.cfg.Store, s.terminal(), part); err != nil {
+			return err
+		} else if ok {
+			rn.commit(s, part, b, true)
 			return nil
 		}
 	}

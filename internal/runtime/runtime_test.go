@@ -38,7 +38,7 @@ func testPipeline(t *testing.T, parts int, matJoin bool) engine.Operator {
 	}
 	return engine.NewHashAggregate("agg", join, nil,
 		[]engine.AggSpec{{Kind: engine.AggSum, Col: 1}, {Kind: engine.AggCount}},
-		true, engine.Schema{{Name: "sum"}, {Name: "cnt"}})
+		true, engine.Schema{{Name: "sum", Type: engine.TypeFloat}, {Name: "cnt", Type: engine.TypeInt}})
 }
 
 func runQuery(t *testing.T, root engine.Operator, cfg Config) (float64, int64, *engine.Report) {

@@ -143,7 +143,8 @@ func collectAncestors(s *stage) []*stage {
 
 // topoSort orders the operator DAG producers-first, counts consumers per
 // operator (deduplicating shared sub-plans by identity), and rejects
-// duplicate operator names, which would collide in the checkpoint store.
+// operators with construction errors and duplicate operator names, which
+// would collide in the checkpoint store.
 func topoSort(root engine.Operator) ([]engine.Operator, map[engine.Operator]int, error) {
 	var order []engine.Operator
 	consumers := make(map[engine.Operator]int)
@@ -160,6 +161,9 @@ func topoSort(root engine.Operator) ([]engine.Operator, map[engine.Operator]int,
 			if err := visit(in); err != nil {
 				return err
 			}
+		}
+		if err := op.Err(); err != nil {
+			return err
 		}
 		if names[op.Name()] {
 			return fmt.Errorf("runtime: duplicate operator name %q in query", op.Name())

@@ -578,7 +578,7 @@ func errorsIsContext(err error) bool {
 }
 
 // formatRows renders result rows as strings, truncated to max (0 = all).
-func formatRows(res *engine.PartitionedResult, max int) ([][]string, int) {
+func formatRows(res *engine.BatchResult, max int) ([][]string, int) {
 	all := res.AllRows()
 	total := len(all)
 	if max > 0 && len(all) > max {

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/plan"
@@ -38,33 +39,48 @@ func CollectStats(cat *engine.Catalog, tables []string) (map[string]TableStats, 
 			Distinct:   make(map[string]float64, len(t.Schema)),
 			Histograms: make(map[string]*stats.Histogram),
 		}
-		distinct := make([]map[string]bool, len(t.Schema))
-		numeric := make([][]float64, len(t.Schema))
-		for i := range distinct {
-			distinct[i] = make(map[string]bool)
-		}
 		parts := t.Parts
 		if t.Replicated {
 			parts = t.Parts[:1]
 		}
 		for _, p := range parts {
-			for _, r := range p {
-				ts.Rows++
-				for i, v := range r {
-					distinct[i][fmt.Sprintf("%v", v)] = true
-					switch x := v.(type) {
-					case int64:
-						numeric[i] = append(numeric[i], float64(x))
-					case float64:
-						numeric[i] = append(numeric[i], x)
-					}
-				}
-			}
+			ts.Rows += float64(p.Len())
 		}
 		for i, c := range t.Schema {
-			ts.Distinct[c.Name] = float64(len(distinct[i]))
-			if len(numeric[i]) > 0 {
-				h, err := stats.BuildHistogram(numeric[i], histogramBuckets)
+			var distinct int
+			var numeric []float64
+			switch c.Type {
+			case engine.TypeInt:
+				seen := make(map[int64]struct{})
+				for _, p := range parts {
+					for _, x := range p.Cols[i].Ints {
+						seen[x] = struct{}{}
+						numeric = append(numeric, float64(x))
+					}
+				}
+				distinct = len(seen)
+			case engine.TypeFloat:
+				// Distinct by rendering, so every NaN counts once.
+				seen := make(map[string]struct{})
+				for _, p := range parts {
+					for _, x := range p.Cols[i].Floats {
+						seen[strconv.FormatFloat(x, 'g', -1, 64)] = struct{}{}
+						numeric = append(numeric, x)
+					}
+				}
+				distinct = len(seen)
+			default:
+				seen := make(map[string]struct{})
+				for _, p := range parts {
+					for _, x := range p.Cols[i].Strings {
+						seen[x] = struct{}{}
+					}
+				}
+				distinct = len(seen)
+			}
+			ts.Distinct[c.Name] = float64(distinct)
+			if len(numeric) > 0 {
+				h, err := stats.BuildHistogram(numeric, histogramBuckets)
 				if err == nil {
 					ts.Histograms[c.Name] = h
 				}

@@ -176,16 +176,17 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 		}
 	} else {
 		exprs := make([]engine.Expr, len(stmt.Select))
-		outSchema = make(engine.Schema, len(stmt.Select))
+		names := make(engine.Schema, len(stmt.Select))
 		for i, item := range stmt.Select {
 			e, err := toEngineExpr(item.Expr, accLayout)
 			if err != nil {
 				return nil, err
 			}
 			exprs[i] = e
-			outSchema[i] = engine.Column{Name: item.Name(i), Type: exprType(item.Expr, accLayout)}
+			names[i] = engine.Column{Name: item.Name(i)}
 		}
-		acc = engine.NewProject("project", acc, exprs, outSchema)
+		acc = engine.NewProject("project", acc, exprs, names)
+		outSchema = acc.OutSchema()
 	}
 
 	// ORDER BY over the output columns.
@@ -270,9 +271,7 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 			return nil, nil, err
 		}
 		preExprs = append(preExprs, e)
-		preSchema = append(preSchema, engine.Column{
-			Name: stmt.GroupBy[gi].Column, Type: exprType(&stmt.GroupBy[gi], l),
-		})
+		preSchema = append(preSchema, engine.Column{Name: stmt.GroupBy[gi].Column})
 	}
 	argCol := map[int]int{} // aggItems index -> pre-projection column
 	for ai, item := range aggItems {
@@ -285,10 +284,9 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 		}
 		argCol[ai] = len(preExprs)
 		preExprs = append(preExprs, e)
-		preSchema = append(preSchema, engine.Column{
-			Name: fmt.Sprintf("agg_arg_%d", ai), Type: engine.TypeFloat,
-		})
+		preSchema = append(preSchema, engine.Column{Name: fmt.Sprintf("agg_arg_%d", ai)})
 	}
+	// The projection types each column from its compiled expression.
 	op := engine.Operator(engine.NewProject("agg-input", in, preExprs, preSchema))
 
 	// Grouped aggregation repartitions on the first group column so equal
@@ -303,6 +301,8 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 	}
 	specs := make([]engine.AggSpec, len(aggItems))
 	aggSchema := append(engine.Schema{}, preSchema[:len(stmt.GroupBy)]...)
+	// The aggregation types its outputs from its input and the aggregate
+	// kinds; only the names are declared here.
 	kinds := map[string]engine.AggKind{
 		"SUM": engine.AggSum, "COUNT": engine.AggCount, "AVG": engine.AggAvg,
 		"MIN": engine.AggMin, "MAX": engine.AggMax,
@@ -313,13 +313,7 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 			return nil, nil, fmt.Errorf("sql: unknown aggregate %s", item.spec.Func)
 		}
 		specs[ai] = engine.AggSpec{Kind: kind, Col: argCol[ai]}
-		typ := engine.TypeFloat
-		if kind == engine.AggCount {
-			typ = engine.TypeInt
-		}
-		aggSchema = append(aggSchema, engine.Column{
-			Name: stmt.Select[item.sel].Name(item.sel), Type: typ,
-		})
+		aggSchema = append(aggSchema, engine.Column{Name: stmt.Select[item.sel].Name(item.sel)})
 	}
 	op = engine.NewHashAggregate("aggregate", op, groupIdxs, specs, global, aggSchema)
 
@@ -328,9 +322,9 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 	outSchema := make(engine.Schema, len(stmt.Select))
 	aggSeen := 0
 	for si, item := range stmt.Select {
+		outSchema[si] = engine.Column{Name: item.Name(si)}
 		if item.Agg != nil {
 			outExprs[si] = engine.Col(len(stmt.GroupBy) + aggSeen)
-			outSchema[si] = aggSchema[len(stmt.GroupBy)+aggSeen]
 			aggSeen++
 			continue
 		}
@@ -342,7 +336,7 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 			}
 		}
 		outExprs[si] = engine.Col(gi)
-		outSchema[si] = engine.Column{Name: item.Name(si), Type: aggSchema[gi].Type}
 	}
-	return engine.NewProject("project", op, outExprs, outSchema), outSchema, nil
+	proj := engine.NewProject("project", op, outExprs, outSchema)
+	return proj, proj.OutSchema(), nil
 }

@@ -147,9 +147,20 @@ func TestSQLJoinWithReplicatedTable(t *testing.T) {
 
 func TestSQLGlobalAggregate(t *testing.T) {
 	cat := testCatalog(t)
-	rows, _ := runSQL(t, cat, "SELECT SUM(o_total), COUNT(*), MIN(o_day), MAX(o_day) FROM ord")
+	rows, schema := runSQL(t, cat, "SELECT SUM(o_total), COUNT(*), MIN(o_day), MAX(o_day) FROM ord")
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
+	}
+	// The reported column types are the types of the returned values: MIN
+	// and MAX keep their argument's int type.
+	wantTypes := []engine.ColType{engine.TypeFloat, engine.TypeInt, engine.TypeInt, engine.TypeInt}
+	if len(schema) != len(wantTypes) {
+		t.Fatalf("output schema has %d columns, want %d", len(schema), len(wantTypes))
+	}
+	for i, want := range wantTypes {
+		if schema[i].Type != want {
+			t.Errorf("column %d (%s) is %s, want %s", i, schema[i].Name, schema[i].Type, want)
+		}
 	}
 	wantSum := 0.0
 	for i := 0; i < 200; i++ {
@@ -429,13 +440,13 @@ func TestSQLPlansEmitCompiledPredicates(t *testing.T) {
 		switch o := op.(type) {
 		case *engine.Scan:
 			scans++
-			if !o.Compiled() {
-				t.Errorf("scan %s filter is not compiled", o.Name())
+			if err := o.Err(); err != nil {
+				t.Errorf("scan %s filter is not compiled: %v", o.Name(), err)
 			}
 		case *engine.Select:
 			selects++
-			if !o.Compiled() {
-				t.Errorf("select %s predicate is not compiled", o.Name())
+			if err := o.Err(); err != nil {
+				t.Errorf("select %s predicate is not compiled: %v", o.Name(), err)
 			}
 		}
 		for _, in := range op.Inputs() {

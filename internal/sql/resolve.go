@@ -159,20 +159,3 @@ func toEnginePredicate(p Predicate, l layout) (engine.Expr, error) {
 	}
 	return engine.Cmp{Op: op, L: left, R: right}, nil
 }
-
-// exprType infers an output column type (best effort; strings only survive
-// bare column references).
-func exprType(e ExprNode, l layout) engine.ColType {
-	if c, ok := e.(*ColumnRef); ok {
-		if i, err := l.resolve(c); err == nil {
-			return l[i].typ
-		}
-	}
-	if n, ok := e.(*NumberLit); ok && n.IsInt {
-		return engine.TypeInt
-	}
-	if _, ok := e.(*StringLit); ok {
-		return engine.TypeString
-	}
-	return engine.TypeFloat
-}

@@ -10,9 +10,7 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -275,23 +273,15 @@ func BenchmarkRuntimePipelinedQ1Profiled(b *testing.B) {
 	}
 }
 
-// Scan→filter→project through the shared operator kernels, columnar vs. the
-// []Row baseline. The baseline table carries a plain-int key column, which
-// defeats strict typing: the same kernel objects then execute their
-// interpreted row-at-a-time paths over raw batches — the pre-refactor
-// execution shape — so the comparison isolates the representation, not the
-// operator logic.
+// Scan→filter→project through the shared operator kernels over columnar
+// batches.
 const sfpRows = 100000
 
-func sfpTable(b testing.TB, columnar bool) *engine.Table {
+func sfpTable(b testing.TB) *engine.Table {
 	schema := engine.Schema{{Name: "k", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat}}
 	rows := make([]engine.Row, sfpRows)
 	for i := range rows {
-		var k engine.Value = int64(i)
-		if !columnar {
-			k = int(i)
-		}
-		rows[i] = engine.Row{k, float64((i * 7) % 1000)}
+		rows[i] = engine.Row{int64(i), float64((i * 7) % 1000)}
 	}
 	tb, err := engine.NewTable("sfp", schema, rows, benchParts, -1)
 	if err != nil {
@@ -311,8 +301,8 @@ func sfpOps(b testing.TB, tb *engine.Table) (*engine.Scan, *engine.Select, *engi
 	return scan, sel, proj
 }
 
-func benchScanFilterProject(b *testing.B, columnar bool) {
-	tb := sfpTable(b, columnar)
+func benchScanFilterProject(b *testing.B) {
+	tb := sfpTable(b)
 	scan, sel, proj := sfpOps(b, tb)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -346,10 +336,7 @@ func benchScanFilterProject(b *testing.B, columnar bool) {
 	}
 }
 
-func BenchmarkScanFilterProjectColumnar(b *testing.B) { benchScanFilterProject(b, true) }
-func BenchmarkScanFilterProjectRowBaseline(b *testing.B) {
-	benchScanFilterProject(b, false)
-}
+func BenchmarkScanFilterProjectColumnar(b *testing.B) { benchScanFilterProject(b) }
 
 // scalingPoint is one GOMAXPROCS setting in the worker-scaling series.
 type scalingPoint struct {
@@ -376,17 +363,12 @@ type benchReport struct {
 	// Scaling pins GOMAXPROCS to each worker count; speedup is staged vs
 	// pipelined wall time on the multi-branch plan at that setting.
 	Scaling []scalingPoint `json:"scaling"`
-	// ScanFilterProject compares the shared kernels on columnar batches
-	// against the []Row baseline (plain-int key defeats strict typing).
+	// ScanFilterProject measures the shared kernels on columnar batches.
 	ScanFilterProjectRows     int        `json:"scan_filter_project_rows"`
-	ScanFilterProjectRow      allocPoint `json:"scan_filter_project_row_baseline"`
 	ScanFilterProjectColumnar allocPoint `json:"scan_filter_project_columnar"`
-	AllocsReduction           float64    `json:"scan_filter_project_allocs_reduction"`
-	// CheckpointQ1 sizes the materialized Q1 scan intermediate in the legacy
-	// row-gob serialization vs. the column-block format DiskStore now writes.
-	CheckpointQ1RowGobBytes  int64   `json:"checkpoint_q1_row_gob_bytes"`
-	CheckpointQ1ColumnBytes  int64   `json:"checkpoint_q1_column_block_bytes"`
-	CheckpointBytesReduction float64 `json:"checkpoint_q1_bytes_reduction"`
+	// CheckpointQ1 sizes the materialized Q1 scan intermediate in the
+	// column-block format checkpoints are written in.
+	CheckpointQ1ColumnBytes int64 `json:"checkpoint_q1_column_block_bytes"`
 	// PipelinedQ1 vs PipelinedQ1Progress isolates the cost of live progress
 	// tracking on the end-to-end Q1 run. ObsOverheadNs is the per-op wall
 	// delta in nanoseconds (clamped at zero: timing jitter can make the
@@ -423,8 +405,8 @@ func toAllocPoint(r testing.BenchmarkResult) allocPoint {
 }
 
 // q1CheckpointBytes sizes the Q1 lineitem-scan intermediate (the natural
-// materialization point feeding the aggregate) in both serializations.
-func q1CheckpointBytes(t *testing.T) (rowGob, colBlock int64) {
+// materialization point feeding the aggregate) as column blocks.
+func q1CheckpointBytes(t *testing.T) (colBlock int64) {
 	cat, err := tpch.Generate(0.002, 4, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -435,22 +417,13 @@ func q1CheckpointBytes(t *testing.T) (rowGob, colBlock int64) {
 	}
 	scan := q1.Inputs()[0].(*engine.Scan)
 	for p := 0; p < 4; p++ {
-		rows, err := scan.Compute(p, nil)
+		b, err := scan.ComputeBatch(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-			t.Fatal(err)
-		}
-		rowGob += int64(buf.Len())
-		n, ok := engine.ColumnBlockSize(rows)
-		if !ok {
-			t.Fatal("Q1 scan output is not strictly typed")
-		}
-		colBlock += n
+		colBlock += engine.EncodedSize(b)
 	}
-	return rowGob, colBlock
+	return colBlock
 }
 
 // allocCeiling is one entry of alloc_budget.json: the hard upper bound a
@@ -483,7 +456,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 	measured := map[string]allocPoint{
 		"scan_filter_project_columnar": toAllocPoint(testing.Benchmark(func(b *testing.B) {
-			benchScanFilterProject(b, true)
+			benchScanFilterProject(b)
 		})),
 		"pipelined_q1":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1)),
 		"pipelined_q1_progress": toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1Progress)),
@@ -582,15 +555,14 @@ func TestWriteRuntimeBenchJSON(t *testing.T) {
 	}
 	goruntime.GOMAXPROCS(hostProcs)
 
-	rowPoint := toAllocPoint(testing.Benchmark(func(b *testing.B) { benchScanFilterProject(b, false) }))
-	colPoint := toAllocPoint(testing.Benchmark(func(b *testing.B) { benchScanFilterProject(b, true) }))
+	colPoint := toAllocPoint(testing.Benchmark(benchScanFilterProject))
 
 	m := &runtime.Metrics{}
 	start := time.Now()
 	runPipelinedOnce(t, root, m)
 	_ = time.Since(start)
 
-	rowGob, colBlock := q1CheckpointBytes(t)
+	colBlock := q1CheckpointBytes(t)
 
 	lintMs := lintWallMs(t)
 
@@ -636,12 +608,8 @@ func TestWriteRuntimeBenchJSON(t *testing.T) {
 		Partitions:                benchParts,
 		Scaling:                   scaling,
 		ScanFilterProjectRows:     sfpRows,
-		ScanFilterProjectRow:      rowPoint,
 		ScanFilterProjectColumnar: colPoint,
-		AllocsReduction:           1 - float64(colPoint.AllocsPerOp)/float64(rowPoint.AllocsPerOp),
-		CheckpointQ1RowGobBytes:   rowGob,
 		CheckpointQ1ColumnBytes:   colBlock,
-		CheckpointBytesReduction:  1 - float64(colBlock)/float64(rowGob),
 		PipelinedQ1:               q1Point,
 		PipelinedQ1Progress:       q1ProgPoint,
 		ObsOverheadNs:             overheadNs,
@@ -664,19 +632,11 @@ func TestWriteRuntimeBenchJSON(t *testing.T) {
 		t.Logf("workers=%d staged=%.3fs pipelined=%.3fs speedup=%.2fx",
 			s.Workers, s.StagedSeconds, s.PipelinedSeconds, s.Speedup)
 	}
-	t.Logf("scan-filter-project allocs/op: row=%d columnar=%d (%.0f%% reduction)",
-		rowPoint.AllocsPerOp, colPoint.AllocsPerOp, 100*report.AllocsReduction)
-	t.Logf("Q1 checkpoint bytes: row-gob=%d column-block=%d (%.0f%% reduction)",
-		rowGob, colBlock, 100*report.CheckpointBytesReduction)
+	t.Logf("scan-filter-project allocs/op: columnar=%d", colPoint.AllocsPerOp)
+	t.Logf("Q1 checkpoint bytes: column-block=%d", colBlock)
 	t.Logf("Q1 progress-tracking overhead: %.0fns/op (%.2f%% of %.3fs baseline)",
 		overheadNs, 100*overheadFrac, q1Point.SecondsPerOp)
 	t.Logf("Q1 continuous-profiling overhead: %.0fns/op (%.2f%% of %.3fs baseline; bar 2%%)",
 		profOverheadNs, 100*profOverheadFrac, q1Point.SecondsPerOp)
 	t.Logf("ftlint full-module sweep: %.0fms", lintMs)
-	if report.AllocsReduction < 0.5 {
-		t.Errorf("columnar allocs reduction %.2f below the 0.5 acceptance bar", report.AllocsReduction)
-	}
-	if colBlock >= rowGob {
-		t.Errorf("column-block checkpoint (%d bytes) not smaller than row gob (%d bytes)", colBlock, rowGob)
-	}
 }

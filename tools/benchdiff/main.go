@@ -178,10 +178,15 @@ func Diff(oldM, newM map[string]float64, threshold float64, all bool) (string, i
 		}
 		fmt.Fprintf(&b, "%s %-55s %14.6g -> %-14.6g %+7.1f%%\n", mark, k, ov, nv, change*100)
 	}
+	var dropped []string
 	for k := range oldM {
 		if _, ok := newM[k]; !ok && direction(k) != 0 {
-			fmt.Fprintf(&b, "-- %-55s dropped from new file\n", k)
+			dropped = append(dropped, k)
 		}
+	}
+	sort.Strings(dropped)
+	for _, k := range dropped {
+		fmt.Fprintf(&b, "-- %-55s dropped from new file\n", k)
 	}
 	return b.String(), regressions
 }

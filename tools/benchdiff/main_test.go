@@ -89,6 +89,25 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	if !strings.Contains(reportAll, "b.allocs_per_op") {
 		t.Errorf("-all report missing improved series:\n%s", reportAll)
 	}
+
+	// Series missing from the new file are listed once each, sorted, so the
+	// report is the same on every run.
+	for _, k := range []string{"z.seconds_per_op", "m.allocs_per_op", "c.bytes_per_op"} {
+		oldM[k] = 1
+	}
+	const want = "c.bytes_per_op,m.allocs_per_op,z.seconds_per_op"
+	for i := 0; i < 20; i++ {
+		report, _ := Diff(oldM, newM, 0.10, false)
+		var dropped []string
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasSuffix(line, "dropped from new file") {
+				dropped = append(dropped, strings.Fields(line)[1])
+			}
+		}
+		if got := strings.Join(dropped, ","); got != want {
+			t.Fatalf("dropped series listed as %q, want %q:\n%s", got, want, report)
+		}
+	}
 }
 
 func TestLintWallMsRegressesOnlyPastDouble(t *testing.T) {
