@@ -124,7 +124,7 @@ func main() {
 	}
 	if *debug != "" {
 		tracer := obs.NewTracer(len(res.Spans) * 2)
-		tracer.Ingest(res.Spans)
+		tracer.Ingest(res.Spans...)
 		srv, err := obs.StartDebug(*debug, tracer, func() any { return res }, simRegistry(res), nil)
 		if err != nil {
 			fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -133,11 +134,11 @@ type Coordinator struct {
 	// disables tracing.
 	Tracer *obs.Tracer
 	// Metrics receives counters, latency histograms and wasted-work ledger
-	// entries; nil disables metrics (every method is nil-safe). The type is
-	// shared with the pipelined runtime, so one Exec can aggregate both.
+	// entries; nil keeps them private to the execution. The type is shared
+	// with the pipelined runtime, so one Exec can aggregate both.
 	Metrics *metrics.Exec
 	// Progress receives live per-operator completion for /debug/queries; nil
-	// disables tracking (every hook is a nil-tolerant atomic handle).
+	// keeps it private to the execution.
 	Progress *obs.Progress
 	// ProfLabels are the query-level pprof labels (query, tenant) every
 	// worker goroutine runs under when continuous profiling is on; the
@@ -153,9 +154,8 @@ type execState struct {
 	results  map[Operator]*BatchResult
 	done     map[Operator][]bool
 	attempts map[string]int
-	report   *Report
+	rec      *Recorder
 	order    []Operator
-	prog     map[Operator]*obs.StageProgress
 	// pctx carries the query-level pprof labels; partition workers re-apply
 	// them (labels are goroutine-local) and refine with per-operator labels.
 	pctx context.Context
@@ -176,20 +176,16 @@ func (co *Coordinator) Execute(root Operator) (*BatchResult, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	report := &Report{}
 	maxRestarts := co.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = 100
 	}
-	qspan := co.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
-	defer qspan.End()
-
-	// Progress handles are resolved once so the per-partition hot path is a
-	// pair of atomic adds.
-	prog := make(map[Operator]*obs.StageProgress, len(order))
-	for _, op := range order {
-		prog[op] = co.Progress.EnsureStage(op.Name(), co.Nodes)
+	names := make([]string, len(order))
+	for i, op := range order {
+		names[i] = op.Name()
 	}
+	rec := NewRecorder(metrics.RuntimeStaged, co.Tracer, co.Metrics, co.Progress, co.Nodes, names)
+	defer rec.Query(root.Name())()
 
 	// Attempts persist across coarse restarts so scripted failure traces
 	// advance (a restarted query re-runs every operator, but the trace has
@@ -202,9 +198,8 @@ func (co *Coordinator) Execute(root Operator) (*BatchResult, *Report, error) {
 			results:  make(map[Operator]*BatchResult),
 			done:     make(map[Operator][]bool),
 			attempts: attempts,
-			report:   report,
+			rec:      rec,
 			order:    order,
-			prog:     prog,
 		}
 		// The coordinator goroutine itself does real work (commit, checkpoint
 		// encode, recovery), so it runs labeled too; workers inherit the
@@ -215,26 +210,17 @@ func (co *Coordinator) Execute(root Operator) (*BatchResult, *Report, error) {
 			res, err = st.run(root)
 		})
 		if err == nil {
-			return res, report, nil
+			return res, rec.Report(), nil
 		}
 		var rf *restartFailure
 		if co.Coarse && asRestart(err, &rf) {
-			report.Failures++
-			report.Restarts++
-			co.Metrics.AddFailures(1)
-			co.Metrics.AddRestarts(1)
-			co.Progress.Failure()
-			co.Progress.Restart()
-			co.Tracer.Event(obs.KindRestart, rf.op, rf.part, report.Restarts)
 			// The aborted attempt's elapsed time is the realized coarse w(c).
-			co.Metrics.Ledger().Attribute(metrics.CauseRestart, rf.op, rf.part, time.Since(attemptStart))
-			if report.Restarts > maxRestarts {
-				report.Aborted = true
-				return nil, report, fmt.Errorf("engine: query aborted after %d restarts", report.Restarts-1)
+			if rec.Restart(rf.op, rf.part, attemptStart, maxRestarts) {
+				return nil, rec.Report(), fmt.Errorf("engine: query aborted after %d restarts", maxRestarts)
 			}
 			continue // restart from scratch
 		}
-		return nil, report, err
+		return nil, rec.Report(), err
 	}
 }
 
@@ -243,6 +229,9 @@ type restartFailure struct {
 	op   string
 	part int
 }
+
+// errNodeFailure labels a task span killed by an injected node failure.
+var errNodeFailure = errors.New("node failure")
 
 func (r *restartFailure) Error() string {
 	return fmt.Sprintf("engine: node %d failed while computing %s", r.part, r.op)
@@ -271,19 +260,7 @@ func (st *execState) run(root Operator) (*BatchResult, error) {
 func (st *execState) computeAll(op Operator) error {
 	st.ensureResult(op)
 	parts := st.co.Nodes
-	stageStart := time.Now()
-	stageSpan := st.co.Tracer.Begin(obs.KindStage, op.Name(), -1, -1)
-	defer func() {
-		st.co.Metrics.ObserveStageWall(metrics.RuntimeStaged, op.Name(), time.Since(stageStart))
-		var rows int64
-		for part, ok := range st.done[op] {
-			if ok {
-				rows += int64(st.results[op].Parts[part].Len())
-			}
-		}
-		stageSpan.SetRows(rows)
-		stageSpan.End()
-	}()
+	defer st.rec.Stage(op.Name())()
 
 	// An earlier recovery may have dropped partitions of inputs computed
 	// before the failure; restore them before the parallel pass reads them.
@@ -327,21 +304,15 @@ func (st *execState) computeAll(op Operator) error {
 						return
 					}
 				}
-				sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
+				end := st.rec.Task(op.Name(), part, attempt)
 				if st.co.Injector.FailCompute(op.Name(), part, attempt) {
-					st.co.Tracer.Event(obs.KindFailure, op.Name(), part, attempt)
-					st.co.Metrics.Ledger().Fail(op.Name(), part)
-					sp.Fail("node failure")
-					sp.End()
+					st.rec.Failure(op.Name(), part, attempt)
+					end(0, errNodeFailure)
 					out[part] = outcome{part: part, failed: true}
 					return
 				}
 				b, err := op.ComputeBatch(part, st.inputResults(op))
-				sp.SetRows(int64(b.Len()))
-				if err != nil {
-					sp.Fail(err.Error())
-				}
-				sp.End()
+				end(b.Len(), err)
 				out[part] = outcome{part: part, b: b, err: err}
 			})
 		}(part)
@@ -361,12 +332,12 @@ func (st *execState) computeAll(op Operator) error {
 			failedParts = append(failedParts, part)
 			continue
 		}
+		origin := Restored
 		if !o.fromStore {
 			st.attempts[attemptKey(op, part)]++
-			st.co.Metrics.AddRows(int64(o.b.Len()))
-			st.co.Metrics.AddStageRows(op.Name(), int64(o.b.Len()))
+			origin = Computed
 		}
-		if err := st.commit(op, part, o.b); err != nil {
+		if err := st.commit(op, part, o.b, origin); err != nil {
 			return err
 		}
 	}
@@ -376,21 +347,10 @@ func (st *execState) computeAll(op Operator) error {
 		if st.co.Coarse {
 			return &restartFailure{op: op.Name(), part: part}
 		}
-		st.report.Failures++
-		st.co.Metrics.AddFailures(1)
-		st.co.Progress.Failure()
 		st.dropVolatileOnNode(part)
-		rsp := st.co.Tracer.Begin(obs.KindRecovery, op.Name(), part, -1)
-		recStart := time.Now()
+		end := st.rec.Recovery(op.Name(), part)
 		err := st.ensure(op, part)
-		// Book the whole recovery window — successful or not — as recompute
-		// waste; the window matches the recovery span so ledger totals
-		// reconcile with the span timeline.
-		st.co.Metrics.Ledger().Attribute(metrics.CauseRecompute, op.Name(), part, time.Since(recStart))
-		if err != nil {
-			rsp.Fail(err.Error())
-		}
-		rsp.End()
+		end(err)
 		if err != nil {
 			return err
 		}
@@ -413,7 +373,7 @@ func (st *execState) ensure(op Operator, part int) error {
 		if b, ok, err := GetBatch(st.co.Store, op, part); err != nil {
 			return err
 		} else if ok {
-			return st.commit(op, part, b)
+			return st.commit(op, part, b, Restored)
 		}
 	}
 	// Recover inputs: narrow operators need partition `part`, wide operators
@@ -436,15 +396,12 @@ func (st *execState) ensure(op Operator, part int) error {
 			return fmt.Errorf("engine: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
 		}
 		if st.co.Injector.FailCompute(op.Name(), part, attempt) {
-			st.co.Tracer.Event(obs.KindFailure, op.Name(), part, attempt)
-			st.co.Metrics.Ledger().Fail(op.Name(), part)
+			st.rec.Failure(op.Name(), part, attempt)
 			st.attempts[key]++
 			if st.co.Coarse {
 				return &restartFailure{op: op.Name(), part: part}
 			}
-			st.report.Failures++
-			st.co.Metrics.AddFailures(1)
-			st.co.Progress.Failure()
+			st.rec.handled()
 			st.dropVolatileOnNode(part)
 			// Inputs may have been lost again; recover them before retrying.
 			for _, in := range op.Inputs() {
@@ -460,7 +417,7 @@ func (st *execState) ensure(op Operator, part int) error {
 			}
 			continue
 		}
-		sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
+		end := st.rec.Task(op.Name(), part, attempt)
 		var b *Batch
 		var err error
 		prof.Do(st.pctx, prof.Labels{
@@ -468,26 +425,19 @@ func (st *execState) ensure(op Operator, part int) error {
 		}, func(context.Context) {
 			b, err = op.ComputeBatch(part, st.inputResults(op))
 		})
+		end(b.Len(), err)
 		if err != nil {
-			sp.Fail(err.Error())
-			sp.End()
 			return err
 		}
-		sp.SetRows(int64(b.Len()))
-		sp.End()
 		st.attempts[key]++
-		st.report.RecomputedPartitions++
-		st.co.Metrics.AddRecoveries(1)
-		st.co.Metrics.AddRows(int64(b.Len()))
-		st.co.Metrics.AddStageRows(op.Name(), int64(b.Len()))
-		return st.commit(op, part, b)
+		return st.commit(op, part, b, Recomputed)
 	}
 }
 
-// commit records a computed partition and persists it when materialized. A
-// store write failure is returned: recovery must never proceed believing a
-// checkpoint exists that never durably landed.
-func (st *execState) commit(op Operator, part int, b *Batch) error {
+// commit records a partition produced as origin says and persists it when
+// materialized. A store write failure is returned: recovery must never
+// proceed believing a checkpoint exists that never durably landed.
+func (st *execState) commit(op Operator, part int, b *Batch, origin Origin) error {
 	if b.Len() == 0 {
 		b = nil // canonical empty-partition representation
 	}
@@ -495,7 +445,7 @@ func (st *execState) commit(op Operator, part int, b *Batch) error {
 	res.Parts[part] = b
 	res.Lost[part] = false
 	if !st.done[op][part] {
-		st.prog[op].PartDone(int64(b.Len()))
+		st.rec.Commit(op.Name(), b.Len(), origin)
 	}
 	st.done[op][part] = true
 	if op.Materialize() {
@@ -504,22 +454,12 @@ func (st *execState) commit(op Operator, part int, b *Batch) error {
 			// so the profiler's join books it against the right op.
 			var perr error
 			prof.Do(st.pctx, prof.Labels{Stage: op.Name(), Op: op.Name()}, func(context.Context) {
-				sp := st.co.Tracer.Begin(obs.KindCheckpoint, op.Name(), part, -1)
 				start := time.Now()
-				if err := st.co.Store.Put(op.Name(), part, b.ToRows(), st.co.Nodes); err != nil {
-					sp.Fail(err.Error())
-					sp.End()
+				err := st.co.Store.Put(op.Name(), part, b.ToRows(), st.co.Nodes)
+				st.rec.Checkpoint(op.Name(), part, start, b.Len(), EncodedSize(b), err)
+				if err != nil {
 					perr = fmt.Errorf("engine: materialize %s/%d: %w", op.Name(), part, err)
-					return
 				}
-				st.co.Metrics.ObserveCheckpointWrite(metrics.RuntimeStaged, time.Since(start))
-				n := EncodedSize(b)
-				st.co.Metrics.AddCheckpoint(n)
-				st.prog[op].AddCheckpointBytes(n)
-				sp.SetBytes(n)
-				sp.SetRows(int64(b.Len()))
-				sp.End()
-				st.report.MaterializedPartitions++
 			})
 			if perr != nil {
 				return perr
@@ -540,11 +480,11 @@ func (st *execState) dropVolatileOnNode(node int) {
 		// recovers itself; their output is recomputable state that is
 		// nonetheless lost.
 		if st.done[op][node] {
-			rows := int64(res.Parts[node].Len())
+			rows := res.Parts[node].Len()
 			res.Parts[node] = nil
 			res.Lost[node] = true
 			st.done[op][node] = false
-			st.prog[op].PartUndone(rows)
+			st.rec.Undo(op.Name(), rows)
 		}
 	}
 }

@@ -5,6 +5,13 @@
 // `//lint:spanpair <handler>` directive that the analyzer verifies. It also
 // forbids raw string literals where a span Kind is expected, so the timeline
 // vocabulary stays the closed set defined in internal/obs.
+//
+// An execution recorder (a type named Recorder, like engine.Recorder) emits
+// spans on its callers' behalf. Its failure method — a method that emits a
+// failure span and resolves none — opens an episode for whoever calls it:
+// each call is checked as a failure emission at the call site, and the
+// method's own body is not. Its recovery and restart methods close episodes
+// like any other resolving callee.
 package spanpair
 
 import (
@@ -20,14 +27,18 @@ import (
 // Analyzer enforces failure/recovery span pairing and the Kind vocabulary.
 var Analyzer = &analysis.Analyzer{
 	Name: "spanpair",
-	Doc: "tracer failure emissions must be paired with a recovery or restart " +
-		"emission (same function, callee, or a verified //lint:spanpair " +
-		"handler), and span kinds must be internal/obs constants, never " +
-		"string literals",
+	Doc: "tracer failure emissions, and calls to a Recorder's failure method, " +
+		"must be paired with a recovery or restart emission (same function, " +
+		"callee, or a verified //lint:spanpair handler), and span kinds must " +
+		"be internal/obs constants, never string literals",
 	Run: run,
 }
 
 const directive = "//lint:spanpair "
+
+// recorderType names the execution recorder whose failure method opens
+// episodes on its callers' behalf.
+const recorderType = "Recorder"
 
 // Kinds that open a failure episode and kinds that resolve one.
 const failureKind = "failure"
@@ -49,16 +60,20 @@ func run(pass *analysis.Pass) error {
 		byName[fd.Name.Name] = fd
 	}
 
-	for _, fd := range decls {
+	for obj, fd := range decls {
 		if fd.Body == nil {
 			continue
 		}
 		info := &funcInfo{kinds: make(map[string]bool)}
 		infos[fd] = info
+		opener := opensEpisode(pass, obj)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
+			}
+			if f := pass.CalleeFunc(call); f != nil && opensEpisode(pass, f) {
+				info.failures = append(info.failures, call)
 			}
 			for _, arg := range call.Args {
 				tv, ok := pass.TypesInfo.Types[arg]
@@ -73,7 +88,7 @@ func run(pass *analysis.Pass) error {
 				}
 				kind := constant.StringVal(tv.Value)
 				info.kinds[kind] = true
-				if kind == failureKind {
+				if kind == failureKind && !opener {
 					info.failures = append(info.failures, arg)
 				}
 			}
@@ -197,6 +212,25 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// opensEpisode reports whether f is a recorder's failure method: a method on
+// a type named Recorder whose body emits a failure span and resolves none.
+func opensEpisode(pass *analysis.Pass, f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || analysis.NamedTypeName(sig.Recv().Type()) != recorderType {
+		return false
+	}
+	sum := pass.Summaries.Of(f)
+	if sum == nil || !sum.SpanKinds[failureKind] {
+		return false
+	}
+	for k := range sum.SpanKinds {
+		if resolveKinds[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // stringLiteralArg unwraps arg to a raw string literal, looking through

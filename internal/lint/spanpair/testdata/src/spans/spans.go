@@ -69,3 +69,41 @@ func suppressedLiteral(tr Tracer) {
 	//lint:ignore spanpair fixture exercises suppression
 	tr.Event("stage", "scan")
 }
+
+// Recorder mirrors an execution recorder: Failure opens a failure episode
+// on its caller's behalf, Recovery and Restart close one.
+type Recorder struct{ tr Tracer }
+
+// Failure is not reported itself: each call to it is checked instead.
+func (r *Recorder) Failure(name string) { r.tr.Event(KindFailure, name) }
+
+func (r *Recorder) Recovery(name string) (end func()) {
+	return func() { r.tr.Event(KindRecovery, name) }
+}
+
+func (r *Recorder) Restart(name string) { r.tr.Event(KindRestart, name) }
+
+func recorderPairedByRecovery(r *Recorder) {
+	r.Failure("worker died")
+	end := r.Recovery("partition")
+	end()
+}
+
+func recorderPairedByRestart(r *Recorder) {
+	r.Failure("stage lost")
+	r.Restart("query")
+}
+
+func recorderUnpaired(r *Recorder) {
+	r.Failure("nobody recovers") // want `failure span in recorderUnpaired is never resolved`
+}
+
+// Tracker is not a recorder: its failure method must resolve its own
+// emission, and calls to it open nothing.
+type Tracker struct{ tr Tracer }
+
+func (k Tracker) Failure(name string) {
+	k.tr.Event(KindFailure, name) // want `failure span in Failure is never resolved`
+}
+
+func trackerCall(k Tracker) { k.Failure("not an episode here") }

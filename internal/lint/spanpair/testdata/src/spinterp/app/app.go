@@ -25,3 +25,15 @@ func unpairedCrossPackage(tr trace.Tracer) {
 	tr.Event(trace.KindFailure, "nobody recovers") // want `failure span in unpairedCrossPackage is never resolved`
 	handler.Nothing(tr)
 }
+
+// pairedRecorderCrossPackage opens and closes an episode through a recorder
+// declared in another package.
+func pairedRecorderCrossPackage(r trace.Recorder) {
+	r.Failure("worker died")
+	r.Recovery("partition")
+}
+
+// unpairedRecorderCrossPackage opens an episode nobody closes.
+func unpairedRecorderCrossPackage(r trace.Recorder) {
+	r.Failure("nobody recovers") // want `failure span in unpairedRecorderCrossPackage is never resolved`
+}

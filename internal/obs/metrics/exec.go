@@ -21,8 +21,9 @@ const (
 // pointer). The exported atomic fields keep the original runtime.Metrics API:
 // hot paths touch single atomics, while distributions (stage wall time,
 // checkpoint write latency) go through labeled histograms and lost time goes
-// through the wasted-work Ledger. The zero value is ready to use; methods on
-// a nil *Exec are no-ops so un-instrumented executions pay nothing.
+// through the wasted-work Ledger. Both runtimes write it only through
+// engine.Recorder. The zero value is ready to use; methods on a nil *Exec
+// are no-ops.
 type Exec struct {
 	// Batches counts vectorized batches processed by pipeline operators
 	// (source emissions and chained transforms).
@@ -151,45 +152,6 @@ func (m *Exec) ObserveCheckpointWrite(runtime string, d time.Duration) {
 	}
 	m.init()
 	m.ckptHist.With(runtime).Observe(d.Seconds())
-}
-
-// Nil-safe counter helpers for callers (the staged engine) that may hold a
-// nil *Exec and therefore cannot touch the atomic fields directly.
-
-// AddRows adds to the committed-row counter.
-func (m *Exec) AddRows(n int64) {
-	if m != nil {
-		m.Rows.Add(n)
-	}
-}
-
-// AddCheckpoint books one written checkpoint partition of the given size.
-func (m *Exec) AddCheckpoint(bytes int64) {
-	if m != nil {
-		m.CheckpointParts.Add(1)
-		m.CheckpointBytes.Add(bytes)
-	}
-}
-
-// AddFailures adds to the failure counter.
-func (m *Exec) AddFailures(n int64) {
-	if m != nil {
-		m.Failures.Add(n)
-	}
-}
-
-// AddRecoveries adds to the fine-grained recovery counter.
-func (m *Exec) AddRecoveries(n int64) {
-	if m != nil {
-		m.Recoveries.Add(n)
-	}
-}
-
-// AddRestarts adds to the coarse-restart counter.
-func (m *Exec) AddRestarts(n int64) {
-	if m != nil {
-		m.Restarts.Add(n)
-	}
 }
 
 // StageWall returns a copy of the per-stage wall-time table.

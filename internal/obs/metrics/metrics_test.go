@@ -265,11 +265,6 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 // *Exec and nil *Ledger is a no-op, so uninstrumented paths pay nothing.
 func TestExecNilSafety(t *testing.T) {
 	var m *Exec
-	m.AddRows(1)
-	m.AddCheckpoint(10)
-	m.AddFailures(1)
-	m.AddRecoveries(1)
-	m.AddRestarts(1)
 	m.ObserveStageWall(RuntimePipelined, "scan", time.Millisecond)
 	m.ObserveCheckpointWrite(RuntimeStaged, time.Millisecond)
 	m.AddStageRows("scan", 5)

@@ -133,6 +133,14 @@ func (sp *StageProgress) AddCheckpointBytes(n int64) {
 	sp.ckptBytes.Add(n)
 }
 
+// Rows returns the rows the stage's committed partitions hold.
+func (sp *StageProgress) Rows() int64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.rows.Load()
+}
+
 // Reset zeroes the stage's counters (a coarse restart recomputes everything).
 func (sp *StageProgress) Reset() {
 	if sp == nil {
@@ -163,18 +171,6 @@ func (p *Progress) Failure() {
 		return
 	}
 	p.failures.Add(1)
-}
-
-// AddCheckpointBytesFor resolves the stage by name (mutex-guarded map read;
-// used by the async checkpoint writer, off the compute hot path).
-func (p *Progress) AddCheckpointBytesFor(stage string, n int64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	sp := p.byName[stage]
-	p.mu.Unlock()
-	sp.AddCheckpointBytes(n)
 }
 
 // finish marks the query complete; err is recorded when non-nil.

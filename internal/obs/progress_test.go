@@ -73,17 +73,6 @@ func TestProgressUndoneAndRestart(t *testing.T) {
 	}
 }
 
-func TestProgressAddCheckpointBytesFor(t *testing.T) {
-	r := NewProgressRegistry(0)
-	p := r.Begin("", "q")
-	p.EnsureStage("scan", 2)
-	p.AddCheckpointBytesFor("scan", 7)
-	p.AddCheckpointBytesFor("missing", 3) // unknown stage is a no-op
-	if got := p.Snapshot().Stages[0].CheckpointBytes; got != 7 {
-		t.Errorf("ckpt bytes = %d, want 7", got)
-	}
-}
-
 func TestProgressNilSafety(t *testing.T) {
 	var p *Progress
 	var sp *StageProgress
@@ -96,7 +85,9 @@ func TestProgressNilSafety(t *testing.T) {
 	p.SetPrediction(1, nil)
 	p.Restart()
 	p.Failure()
-	p.AddCheckpointBytesFor("x", 1)
+	if sp.Rows() != 0 {
+		t.Error("nil stage handle has rows")
+	}
 	if p.ID() != 0 {
 		t.Error("nil progress has non-zero ID")
 	}

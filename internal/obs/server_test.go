@@ -8,14 +8,14 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ftpde/internal/obs/metrics"
 )
 
 func TestDebugServerEndpoints(t *testing.T) {
 	tr := NewTracer(256)
-	sp := tr.Begin(KindStage, "scan", -1, -1)
-	sp.End()
+	tr.Ingest(Span{Kind: KindStage, Name: "scan", Part: -1, Attempt: -1, Start: time.Now(), End: time.Now()})
 	reg := metrics.NewRegistry()
 	RegisterTraceMetrics(reg, tr)
 	c := reg.NewCounter("ftpde_test_rows_total", "Rows for the endpoint test.")
@@ -90,8 +90,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 func TestMetricsEndpointServesPrometheus(t *testing.T) {
 	tr := NewTracer(4) // clamps to 64 spans per shard; overflow every shard
 	for i := 0; i < 65*runtime.GOMAXPROCS(0); i++ {
-		sp := tr.Begin(KindStage, "s", -1, -1)
-		sp.End()
+		tr.Ingest(Span{Kind: KindStage, Name: "s", Part: -1, Attempt: -1})
 	}
 	if tr.Dropped() == 0 {
 		t.Fatal("tracer ring did not overflow; test setup is wrong")

@@ -14,24 +14,24 @@ import (
 const DefaultCapacity = 1 << 14
 
 // Tracer collects spans into per-worker ring buffers. Emission takes one
-// shard mutex (shards are sized to GOMAXPROCS, so contention is low) and
-// never allocates beyond the pre-sized rings; a nil *Tracer is a valid
-// no-op tracer, which is the disabled fast path: Begin/Event return before
-// reading the clock.
+// shard mutex (shards are sized to GOMAXPROCS, so contention is low). A
+// ring grows by append up to its bound and then wraps, so a short trace
+// costs only the spans it holds. A nil *Tracer is a valid no-op tracer,
+// which is the disabled fast path: Event returns before reading the clock.
 type Tracer struct {
-	shards  []*ring
+	shards  []ring
 	next    atomic.Uint64 // round-robin shard cursor
 	ids     atomic.Int64
 	dropped atomic.Int64
 	epoch   time.Time
 }
 
-// ring is one fixed-capacity circular span buffer with its own lock.
+// ring is one bounded circular span buffer with its own lock.
 type ring struct {
 	mu   sync.Mutex
-	buf  []Span
-	head int // next write position
-	full bool
+	buf  []Span // grows to size, then wraps
+	size int
+	head int // oldest span (next overwrite) once buf is full
 }
 
 // NewTracer returns a tracer with the given total span capacity
@@ -48,9 +48,9 @@ func NewTracer(capacity int) *Tracer {
 	if per < 64 {
 		per = 64
 	}
-	t := &Tracer{epoch: time.Now(), shards: make([]*ring, shards)}
+	t := &Tracer{epoch: time.Now(), shards: make([]ring, shards)}
 	for i := range t.shards {
-		t.shards[i] = &ring{buf: make([]Span, per)}
+		t.shards[i].size = per
 	}
 	return t
 }
@@ -72,61 +72,6 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// SpanScope is an open span returned by Begin; call End (or Fail) exactly
-// once. The zero SpanScope (from a nil tracer) is a no-op.
-type SpanScope struct {
-	t    *Tracer
-	span Span
-}
-
-// Begin opens a span. part and attempt may be -1 when not applicable. On a
-// nil tracer it returns a no-op scope without reading the clock.
-func (t *Tracer) Begin(kind Kind, name string, part, attempt int) SpanScope {
-	if t == nil {
-		return SpanScope{}
-	}
-	return SpanScope{t: t, span: Span{
-		Kind:    kind,
-		Name:    name,
-		Part:    part,
-		Attempt: attempt,
-		Start:   time.Now(),
-	}}
-}
-
-// SetBytes attaches an encoded-size payload (checkpoint spans).
-func (s *SpanScope) SetBytes(n int64) {
-	if s.t != nil {
-		s.span.Bytes = n
-	}
-}
-
-// SetRows attaches a row count (task/stage spans).
-func (s *SpanScope) SetRows(n int64) {
-	if s.t != nil {
-		s.span.Rows = n
-	}
-}
-
-// Fail records an error label and closes the span.
-func (s *SpanScope) Fail(errMsg string) {
-	if s.t == nil {
-		return
-	}
-	s.span.Err = errMsg
-	s.End()
-}
-
-// End closes the span and commits it to a ring buffer.
-func (s *SpanScope) End() {
-	if s.t == nil {
-		return
-	}
-	s.span.End = time.Now()
-	s.t.commit(s.span)
-	s.t = nil // guard against double End
-}
-
 // Event records an instant event (failure, restart).
 func (t *Tracer) Event(kind Kind, name string, part, attempt int) {
 	if t == nil {
@@ -142,23 +87,22 @@ func (t *Tracer) commit(sp Span) {
 	sp.ID = t.ids.Add(1)
 	idx := int(t.next.Add(1)-1) % len(t.shards)
 	sp.Worker = idx
-	r := t.shards[idx]
+	r := &t.shards[idx]
 	r.mu.Lock()
-	if r.full {
+	if len(r.buf) < r.size {
+		r.buf = append(r.buf, sp)
+	} else {
 		t.dropped.Add(1)
-	}
-	r.buf[r.head] = sp
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-		r.full = true
+		r.buf[r.head] = sp
+		r.head = (r.head + 1) % r.size
 	}
 	r.mu.Unlock()
 }
 
-// Ingest commits pre-built spans (e.g. the simulator's synthetic timeline)
-// into the rings so Snapshot and the debug endpoints serve them.
-func (t *Tracer) Ingest(spans []Span) {
+// Ingest commits finished spans (an execution recorder's transitions, the
+// simulator's synthetic timeline) into the rings so Snapshot and the debug
+// endpoints serve them.
+func (t *Tracer) Ingest(spans ...Span) {
 	if t == nil {
 		return
 	}
@@ -176,14 +120,11 @@ func (t *Tracer) Snapshot() []Span {
 		return nil
 	}
 	var out []Span
-	for _, r := range t.shards {
+	for i := range t.shards {
+		r := &t.shards[i]
 		r.mu.Lock()
-		if r.full {
-			out = append(out, r.buf[r.head:]...)
-			out = append(out, r.buf[:r.head]...)
-		} else {
-			out = append(out, r.buf[:r.head]...)
-		}
+		out = append(out, r.buf[r.head:]...)
+		out = append(out, r.buf[:r.head]...)
 		r.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {

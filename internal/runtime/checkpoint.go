@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"ftpde/internal/engine"
-	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
 	"ftpde/internal/obs/prof"
 )
 
@@ -43,11 +41,9 @@ type encodedReq struct {
 // the barrier: recovery and query completion wait for all enqueued writes to
 // land before reading the store.
 type checkpointWriter struct {
-	store    engine.Store
-	encoded  engine.EncodedStore // store's pre-encoded fast path, or nil
-	metrics  *Metrics
-	tracer   *obs.Tracer
-	progress *obs.Progress
+	store   engine.Store
+	encoded engine.EncodedStore // store's pre-encoded fast path, or nil
+	rec     *engine.Recorder
 	// pctx carries the query-level pprof labels; the encode and write stages
 	// re-apply them per request with the checkpointed operator on top, so
 	// asynchronous checkpoint CPU joins to the operator that caused it.
@@ -69,19 +65,17 @@ type checkpointWriter struct {
 	err error
 }
 
-func newCheckpointWriter(pctx context.Context, store engine.Store, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
+func newCheckpointWriter(pctx context.Context, store engine.Store, rec *engine.Recorder) *checkpointWriter {
 	encoded, _ := store.(engine.EncodedStore)
 	w := &checkpointWriter{
-		store:    store,
-		encoded:  encoded,
-		metrics:  metrics,
-		tracer:   tracer,
-		progress: progress,
-		pctx:     pctx,
-		queue:    make(chan checkpointReq, 64),
-		writeCh:  make(chan encodedReq, 1),
-		stop:     make(chan struct{}),
-		written:  make(map[string]bool),
+		store:   store,
+		encoded: encoded,
+		rec:     rec,
+		pctx:    pctx,
+		queue:   make(chan checkpointReq, 64),
+		writeCh: make(chan encodedReq, 1),
+		stop:    make(chan struct{}),
+		written: make(map[string]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	//lint:ignore chanproto encodeLoop's writeCh send always completes: close() drains the write stage before the stop channel fires (see the ctxleak ignore at the send site)
@@ -158,7 +152,6 @@ func (w *checkpointWriter) write(req encodedReq) {
 }
 
 func (w *checkpointWriter) writeLabeled(req encodedReq) {
-	sp := w.tracer.Begin(obs.KindCheckpoint, req.op, req.part, -1)
 	start := time.Now()
 	var err error
 	if w.encoded != nil {
@@ -166,21 +159,11 @@ func (w *checkpointWriter) writeLabeled(req encodedReq) {
 	} else {
 		err = w.store.Put(req.op, req.part, req.rows, req.parts)
 	}
+	w.rec.Checkpoint(req.op, req.part, start, req.nrows, req.size, err)
 	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		w.settle(fmt.Errorf("runtime: checkpoint %s/%d: %w", req.op, req.part, err))
-		return
+		err = fmt.Errorf("runtime: checkpoint %s/%d: %w", req.op, req.part, err)
 	}
-	w.metrics.ObserveCheckpointWrite(metrics.RuntimePipelined, time.Since(start))
-	w.metrics.CheckpointParts.Add(1)
-	n := req.size
-	w.metrics.CheckpointBytes.Add(n)
-	w.progress.AddCheckpointBytesFor(req.op, n)
-	sp.SetBytes(n)
-	sp.SetRows(int64(req.nrows))
-	sp.End()
-	w.settle(nil)
+	w.settle(err)
 }
 
 // settle decrements the pending count, latching err when it is the first
@@ -195,24 +178,22 @@ func (w *checkpointWriter) settle(err error) {
 	w.mu.Unlock()
 }
 
-// enqueue schedules one partition write. It returns false when the partition
-// was already written (or enqueued) by this writer, so callers can keep
-// materialization counters exact across recovery re-commits. The batch must
-// be a committed (immutable, unpooled) result — the encode stage reads it
-// asynchronously.
-func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts int) bool {
+// enqueue schedules one partition write, once per partition: recovery
+// re-commits of a partition this writer already took are ignored. The batch
+// must be a committed (immutable, unpooled) result — the encode stage reads
+// it asynchronously.
+func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts int) {
 	key := fmt.Sprintf("%s/%d", op, part)
 	w.mu.Lock()
 	if w.closed || w.written[key] {
 		w.mu.Unlock()
-		return false
+		return
 	}
 	w.written[key] = true
 	w.pending++
 	w.mu.Unlock()
 	select {
 	case w.queue <- checkpointReq{op: op, part: part, b: b, parts: parts}:
-		return true
 	case <-w.stop:
 		// Writer shut down while we were parked on a full queue: roll the
 		// reservation back so flush cannot wait on a write nobody will do.
@@ -221,7 +202,6 @@ func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts i
 		w.pending--
 		w.cond.Broadcast()
 		w.mu.Unlock()
-		return false
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"ftpde/internal/engine"
-	"ftpde/internal/obs"
 	"ftpde/internal/obs/prof"
 )
 
@@ -180,8 +179,7 @@ func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *
 	size := rn.cfg.BatchSize
 	for start, i := 0, 0; start < total; start, i = start+size, i+1 {
 		if fail && i >= 1 {
-			rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-			rn.metrics.Ledger().Fail(op.Name(), part)
+			rn.rec.Failure(op.Name(), part, n)
 			cancel()
 			return &nodeFailure{op: op.Name(), part: part}
 		}
@@ -189,7 +187,7 @@ func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *
 		if end > total {
 			end = total
 		}
-		rn.metrics.Batches.Add(1)
+		rn.rec.Batch()
 		select {
 		case out <- b.SliceLocal(start, end, loc):
 		case <-pctx.Done():
@@ -197,8 +195,7 @@ func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *
 		}
 	}
 	if fail {
-		rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-		rn.metrics.Ledger().Fail(op.Name(), part)
+		rn.rec.Failure(op.Name(), part, n)
 		cancel()
 		return &nodeFailure{op: op.Name(), part: part}
 	}
@@ -250,8 +247,7 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 		case b, chOpen := <-in:
 			if !chOpen {
 				if fail {
-					rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-					rn.metrics.Ledger().Fail(op.Name(), part)
+					rn.rec.Failure(op.Name(), part, n)
 					cancel()
 					return &nodeFailure{op: op.Name(), part: part}
 				}
@@ -271,8 +267,7 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 				return nil
 			}
 			if fail && processed >= 1 {
-				rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-				rn.metrics.Ledger().Fail(op.Name(), part)
+				rn.rec.Failure(op.Name(), part, n)
 				cancel()
 				return &nodeFailure{op: op.Name(), part: part}
 			}
@@ -282,7 +277,7 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 				return err
 			}
 			processed++
-			rn.metrics.Batches.Add(1)
+			rn.rec.Batch()
 			if res.Len() == 0 {
 				res.Release(loc)
 				continue

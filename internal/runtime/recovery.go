@@ -2,10 +2,8 @@ package runtime
 
 import (
 	"context"
-	"time"
 
-	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
+	"ftpde/internal/engine"
 )
 
 // recoverFine handles an injected node failure under fine-grained recovery:
@@ -18,34 +16,17 @@ func (rn *run) recoverFine(ctx context.Context, s *stage, part int, nf *nodeFail
 	rn.recoveryMu.Lock()
 	defer rn.recoveryMu.Unlock()
 	for {
-		rn.mu.Lock()
-		rn.report.Failures++
-		rn.mu.Unlock()
-		rn.metrics.Failures.Add(1)
-		rn.cfg.Progress.Failure()
 		rn.dropLineageOnNode(s, nf.part)
-
-		sp := rn.tracer.Begin(obs.KindRecovery, nf.op, nf.part, -1)
-		start := time.Now()
+		// The recovery window is booked even when it dies to a nested
+		// failure: that work was thrown away too.
+		end := rn.rec.Recovery(nf.op, nf.part)
 		err := rn.ensurePartition(ctx, s, part)
-		// The whole recovery window is wasted work the failure caused — the
-		// realized w(c) — and it is booked even when the window itself died
-		// to a nested failure (that work was thrown away too). The window
-		// matches the recovery span, so ledger totals reconcile with the
-		// span timeline.
-		rn.metrics.Ledger().Attribute(metrics.CauseRecompute, nf.op, nf.part, time.Since(start))
-		if next, ok := asNodeFailure(err); ok {
-			sp.Fail(next.Error())
+		end(err)
+		next, ok := asNodeFailure(err)
+		if !ok {
+			return err
 		}
-		sp.End()
-		if err == nil {
-			return nil
-		}
-		if next, ok := asNodeFailure(err); ok {
-			nf = next
-			continue
-		}
-		return err
+		nf = next
 	}
 }
 
@@ -59,7 +40,7 @@ func (rn *run) ensurePartition(ctx context.Context, s *stage, part int) error {
 	if err := rn.ensureStageInputs(ctx, s, part); err != nil {
 		return err
 	}
-	return rn.computePartition(ctx, s, part, true)
+	return rn.computePartition(ctx, s, part, engine.Recomputed)
 }
 
 // ensureStageInputs recovers the input partitions a stage partition reads:
@@ -100,11 +81,10 @@ func (rn *run) dropLineageOnNode(s *stage, node int) {
 		}
 		if rn.done[a][node] {
 			res := rn.results[a]
-			rows := int64(res.Parts[node].Len())
+			rn.rec.Undo(a.name(), res.Parts[node].Len())
 			res.Parts[node] = nil
 			res.Lost[node] = true
 			rn.done[a][node] = false
-			rn.prog[a].PartUndone(rows)
 		}
 	}
 }

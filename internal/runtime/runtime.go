@@ -60,10 +60,10 @@ type Config struct {
 	// Metrics receives runtime counters; nil allocates a private set.
 	Metrics *Metrics
 	// Tracer receives execution spans and failure/recovery events; nil
-	// disables tracing (the no-op fast path never reads the clock).
+	// disables tracing.
 	Tracer *obs.Tracer
 	// Progress receives live per-stage completion for /debug/queries; nil
-	// disables tracking (every hook is a nil-tolerant atomic handle).
+	// keeps it private to the execution.
 	Progress *obs.Progress
 	// Arena recycles batch and vector buffers across pipeline batches; nil
 	// uses a process-wide shared arena so concurrent queries feed each
@@ -149,20 +149,15 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 	if err != nil {
 		return nil, nil, err
 	}
-	report := &engine.Report{}
-	attempts := newAttempts()
-	writer := newCheckpointWriter(ctx, r.cfg.Store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
-	defer writer.close()
-
-	qspan := r.cfg.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
-	defer qspan.End()
-
-	// Progress handles are resolved once here so the per-partition hot path
-	// is a pair of atomic adds.
-	prog := make(map[*stage]*obs.StageProgress, len(plan.stages))
-	for _, s := range plan.stages {
-		prog[s] = r.cfg.Progress.EnsureStage(s.name(), r.cfg.Nodes)
+	names := make([]string, len(plan.stages))
+	for i, s := range plan.stages {
+		names[i] = s.name()
 	}
+	rec := engine.NewRecorder(metrics.RuntimePipelined, r.cfg.Tracer, r.cfg.Metrics, r.cfg.Progress, r.cfg.Nodes, names)
+	attempts := newAttempts()
+	writer := newCheckpointWriter(ctx, r.cfg.Store, rec)
+	defer writer.close()
+	defer rec.Query(root.Name())()
 
 	for {
 		attemptStart := time.Now()
@@ -170,12 +165,9 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 			cfg:      r.cfg,
 			plan:     plan,
 			attempts: attempts,
-			report:   report,
-			metrics:  r.cfg.Metrics,
-			tracer:   r.cfg.Tracer,
+			rec:      rec,
 			writer:   writer,
 			pool:     r.cfg.Pool,
-			prog:     prog,
 			results:  make(map[*stage]*engine.BatchResult, len(plan.stages)),
 			done:     make(map[*stage][]bool, len(plan.stages)),
 		}
@@ -188,32 +180,21 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 			// The query is only durably complete once every checkpoint the
 			// plan promised has landed.
 			stall, ferr := writer.flushWait()
-			if stall > 0 {
-				r.cfg.Metrics.Ledger().Attribute(metrics.CauseCheckpointStall, root.Name(), -1, stall)
-			}
+			rec.Stall(root.Name(), -1, stall)
 			if ferr != nil {
-				return nil, report, ferr
+				return nil, rec.Report(), ferr
 			}
-			return res, report, nil
+			return res, rec.Report(), nil
 		}
 		if nf, ok := asNodeFailure(err); ok && r.cfg.Recovery == schemes.CoarseRestart {
-			report.Failures++
-			report.Restarts++
-			r.cfg.Metrics.Failures.Add(1)
-			r.cfg.Metrics.Restarts.Add(1)
-			r.cfg.Progress.Failure()
-			r.cfg.Progress.Restart()
-			r.cfg.Tracer.Event(obs.KindRestart, nf.op, nf.part, report.Restarts)
 			// The aborted attempt's elapsed time is pure waste: everything it
 			// computed (minus surviving checkpoints) is thrown away.
-			r.cfg.Metrics.Ledger().Attribute(metrics.CauseRestart, nf.op, nf.part, time.Since(attemptStart))
-			if report.Restarts > r.cfg.MaxRestarts {
-				report.Aborted = true
-				return nil, report, fmt.Errorf("runtime: query aborted after %d restarts", report.Restarts-1)
+			if rec.Restart(nf.op, nf.part, attemptStart, r.cfg.MaxRestarts) {
+				return nil, rec.Report(), fmt.Errorf("runtime: query aborted after %d restarts", r.cfg.MaxRestarts)
 			}
 			continue // restart from scratch; checkpoints and attempts persist
 		}
-		return nil, report, err
+		return nil, rec.Report(), err
 	}
 }
 
@@ -223,14 +204,11 @@ type run struct {
 	cfg      Config
 	plan     *stagePlan
 	attempts *attempts
-	report   *engine.Report
-	metrics  *Metrics
-	tracer   *obs.Tracer
+	rec      *engine.Recorder
 	writer   *checkpointWriter
 	pool     *Pool // bounded worker pool, possibly shared across queries
-	prog     map[*stage]*obs.StageProgress
 
-	mu      sync.Mutex // guards results, done and report
+	mu      sync.Mutex // guards results and done
 	results map[*stage]*engine.BatchResult
 	done    map[*stage][]bool
 
@@ -291,13 +269,7 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 // runStage executes every partition of a stage on the bounded worker pool
 // and records the stage's wall time.
 func (rn *run) runStage(ctx context.Context, s *stage) error {
-	start := time.Now()
-	sp := rn.tracer.Begin(obs.KindStage, s.name(), -1, -1)
-	defer func() {
-		rn.metrics.ObserveStageWall(metrics.RuntimePipelined, s.name(), time.Since(start))
-		sp.SetRows(rn.stageRows(s))
-		sp.End()
-	}()
+	defer rn.rec.Stage(s.name())()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -347,7 +319,7 @@ func (rn *run) runStage(ctx context.Context, s *stage) error {
 // the affected lineage from the last materialized inputs. Under coarse
 // recovery the failure propagates and aborts the run.
 func (rn *run) runStagePartition(ctx context.Context, s *stage, part int) error {
-	err := rn.computePartition(ctx, s, part, false)
+	err := rn.computePartition(ctx, s, part, engine.Computed)
 	if err == nil {
 		return nil
 	}
@@ -360,29 +332,27 @@ func (rn *run) runStagePartition(ctx context.Context, s *stage, part int) error 
 
 // computePartition produces one stage partition: restore it from a
 // checkpoint when available, otherwise pipeline it from the stage inputs.
-// recovery marks calls made while recovering lost lineage (the caller holds
-// recoveryMu and has already ensured the inputs).
-func (rn *run) computePartition(ctx context.Context, s *stage, part int, recovery bool) error {
+// origin is engine.Recomputed for calls made while recovering lost lineage
+// (the caller holds recoveryMu and has already ensured the inputs).
+func (rn *run) computePartition(ctx context.Context, s *stage, part int, origin engine.Origin) error {
 	if rn.isDone(s, part) {
 		return nil
 	}
 	if s.checkpoint {
 		stall, err := rn.writer.flushWait()
-		if stall > 0 {
-			rn.metrics.Ledger().Attribute(metrics.CauseCheckpointStall, s.name(), part, stall)
-		}
+		rn.rec.Stall(s.name(), part, stall)
 		if err != nil {
 			return err
 		}
 		if b, ok, err := engine.GetBatch(rn.cfg.Store, s.terminal(), part); err != nil {
 			return err
 		} else if ok {
-			rn.commit(s, part, b, true)
+			rn.commit(s, part, b, engine.Restored)
 			return nil
 		}
 	}
 	var inputs []*engine.BatchResult
-	if recovery {
+	if origin == engine.Recomputed {
 		inputs = rn.snapshotInputs(s)
 	} else {
 		// A concurrent recovery may have dropped volatile input partitions;
@@ -401,22 +371,13 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 			}
 		}
 	}
-	sp := rn.tracer.Begin(obs.KindTask, s.name(), part, rn.attempts.peek(s.name(), part))
+	end := rn.rec.Task(s.name(), part, rn.attempts.peek(s.name(), part))
 	b, err := rn.runPipeline(ctx, s, part, inputs)
+	end(b.Len(), err)
 	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
 		return err
 	}
-	sp.SetRows(int64(b.Len()))
-	sp.End()
-	rn.commit(s, part, b, false)
-	if recovery {
-		rn.mu.Lock()
-		rn.report.RecomputedPartitions++
-		rn.mu.Unlock()
-		rn.metrics.Recoveries.Add(1)
-	}
+	rn.commit(s, part, b, origin)
 	return nil
 }
 
@@ -426,25 +387,11 @@ func (rn *run) isDone(s *stage, part int) bool {
 	return rn.done[s][part]
 }
 
-// stageRows sums the rows of the stage's committed partitions (for the
-// stage span; partial when the stage failed mid-flight).
-func (rn *run) stageRows(s *stage) int64 {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	var n int64
-	for part, ok := range rn.done[s] {
-		if ok {
-			n += int64(rn.results[s].Parts[part].Len())
-		}
-	}
-	return n
-}
-
-// commit records a computed partition and, for materialization points,
-// hands it to the asynchronous checkpoint writer. The batch must be plain
-// (unpooled) — it becomes a shared, immutable stage result that consumers
-// and the async checkpoint encoder read concurrently.
-func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
+// commit records a partition produced as origin says and, for computed
+// materialization points, hands it to the asynchronous checkpoint writer.
+// The batch must be plain (unpooled) — it becomes a shared, immutable stage
+// result that consumers and the async checkpoint encoder read concurrently.
+func (rn *run) commit(s *stage, part int, b *engine.Batch, origin engine.Origin) {
 	if b.Len() == 0 {
 		b = nil // canonical empty-partition representation
 	}
@@ -458,17 +405,9 @@ func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
 	res.Lost[part] = false
 	rn.done[s][part] = true
 	rn.mu.Unlock()
-	rn.prog[s].PartDone(int64(b.Len()))
-	if !fromStore {
-		rn.metrics.Rows.Add(int64(b.Len()))
-		rn.metrics.AddStageRows(s.name(), int64(b.Len()))
-	}
-	if s.checkpoint && !fromStore {
-		if rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes) {
-			rn.mu.Lock()
-			rn.report.MaterializedPartitions++
-			rn.mu.Unlock()
-		}
+	rn.rec.Commit(s.name(), b.Len(), origin)
+	if s.checkpoint && origin != engine.Restored {
+		rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes)
 	}
 }
 

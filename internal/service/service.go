@@ -522,7 +522,7 @@ func (s *Server) ingestSpans(qid int64, spans []obs.Span) {
 		sp.Query = int(qid)
 		tagged[i] = sp
 	}
-	s.cfg.Tracer.Ingest(tagged)
+	s.cfg.Tracer.Ingest(tagged...)
 }
 
 // dumpForensics freezes a dead query into a diagnostic bundle on the
